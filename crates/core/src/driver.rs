@@ -211,6 +211,14 @@ impl<R, S, P, H> Injector<R, S, P, H> {
     pub fn nodes(&self) -> usize {
         self.nodes
     }
+
+    /// Retargets the injector at a pipeline of `nodes` nodes (a resized
+    /// chain); arrivals injected from now on are homed across the new
+    /// width.
+    pub fn resize(&mut self, nodes: usize) {
+        assert!(nodes > 0, "a pipeline needs at least one node");
+        self.nodes = nodes;
+    }
 }
 
 impl<R, S, P, H> Injector<R, S, P, H>

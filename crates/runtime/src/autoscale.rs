@@ -23,9 +23,9 @@
 //! **driver** actuates, because a resize must run the fence protocol —
 //! flush entry frames, stop injecting, drain in-flight frames — and only
 //! the driver can stop injecting.  The controller therefore publishes a
-//! *desired width* through one atomic; the driver checks it before every
-//! schedule event and calls `scale_to` when it differs from the live
-//! width.  Decisions are made at wall-clock ticks but evaluated against
+//! *desired width* through one atomic; the driver's replay loop checks it
+//! before every schedule event and on every controller tick of its pacing
+//! wait, and calls `scale_to` when it differs from the live width.  Decisions are made at wall-clock ticks but evaluated against
 //! *stream-time* deltas from the shared clock, so a paced replay of the
 //! same schedule yields the same rate signal as the simulator's
 //! deterministic mirror (`llhj_sim::run_autoscaled_simulation`) — the
@@ -36,10 +36,11 @@
 //! and is unit-tested there against synthetic metric traces.
 
 use crate::channel::WaitSet;
-use crate::elastic::{ElasticOutcome, ElasticPipeline, NodeFactory};
+use crate::elastic::{ElasticPipeline, NodeFactory};
 use crate::exec::StreamClock;
 use crate::metrics::MetricsBus;
 use crate::options::PipelineOptions;
+use crate::pipeline::RunOutcome;
 use llhj_core::driver::DriverSchedule;
 use llhj_core::homing::HomePolicy;
 use llhj_core::metrics::{
@@ -233,12 +234,12 @@ pub fn run_autoscaled_pipeline<R, S, P, H>(
     schedule: &DriverSchedule<R, S>,
     autoscale: &AutoscaleOptions,
     options: &PipelineOptions,
-) -> (ElasticOutcome<R, S>, AutoscaleReport)
+) -> (RunOutcome<R, S>, AutoscaleReport)
 where
     R: Clone + Send + Sync + 'static,
     S: Clone + Send + Sync + 'static,
-    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    H: HomePolicy + Clone,
+    P: JoinPredicate<R, S>,
+    H: HomePolicy,
 {
     let mut pipeline =
         ElasticPipeline::new(initial_nodes, factory, predicate, policy, options.clone());

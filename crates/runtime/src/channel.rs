@@ -364,34 +364,6 @@ impl<T> Sender<T> {
         shared.not_empty.notify_one();
         Ok(())
     }
-
-    /// Best-effort non-blocking send: enqueues only if it can do so
-    /// without blocking or spilling, returning the frame otherwise.  The
-    /// arena flow-back edges use it — dropping a recycled buffer beats
-    /// waiting for room to return it.
-    pub fn try_send(&self, frame: T) -> Result<(), T> {
-        match &self.flavor {
-            Flavor::Ring(ring) => ring.try_send(frame),
-            Flavor::Mutex(shared) => {
-                let mut state = shared.state.lock().expect("channel poisoned");
-                if !state.receiver_alive {
-                    return Err(frame);
-                }
-                if let Some(cap) = state.capacity {
-                    if state.queue.len() >= cap {
-                        return Err(frame);
-                    }
-                }
-                state.queue.push_back(frame);
-                if let Some(waiter) = &state.waiter {
-                    waiter.notify();
-                }
-                drop(state);
-                shared.not_empty.notify_one();
-                Ok(())
-            }
-        }
-    }
 }
 
 impl<T> Sender<T> {

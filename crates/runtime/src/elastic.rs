@@ -1,18 +1,17 @@
-//! Elastic node-chain scaling: grow or shrink a live pipeline.
+//! The node chain: one deployment of workers, driver and collector that
+//! can grow or shrink while it runs.
 //!
-//! [`crate::run_pipeline`] freezes the node count at construction time, so
-//! the paper's "sweep the core count" story (Section 6) can only be told by
-//! re-deploying.  This module makes the chain *elastic*: an
-//! [`ElasticPipeline`] owns the worker threads and channel wiring and can
-//! insert or retire join nodes **mid-run** without dropping or duplicating
-//! a single result.  The control path is the [`ScalePipeline`] trait:
-//! `grow(n)` / `shrink(n)` / `scale_to(n)`; the *closed-loop* path — a
-//! controller that decides when to call them — is [`crate::autoscale`].
+//! An [`ElasticPipeline`] owns the worker threads and channel wiring and
+//! can insert or retire join nodes **mid-run** without dropping or
+//! duplicating a single result.  The control path is the
+//! [`ScalePipeline`] trait: `grow(n)` / `shrink(n)` / `scale_to(n)`; the
+//! *closed-loop* path — a controller that decides when to call them — is
+//! [`crate::autoscale`].  A fixed chain ([`crate::run_pipeline`]) is this
+//! chain with an empty plan.
 //!
-//! The data plane (worker loop, entry batching, collector) is the shared
-//! machinery of the crate-private `exec` module — exactly the code the fixed pipeline
-//! runs.  This module only adds the control plane of a *resizable*
-//! deployment: owned (rather than scoped) workers behind handles, command
+//! The data plane (worker loop, entry batching, collector) lives in the
+//! crate-private `exec` module and the schedule replay in `replay`.  This
+//! module adds the control plane: workers behind handles, command
 //! mailboxes, and the reconfiguration protocol below.
 //!
 //! ## The reconfiguration protocol
@@ -43,7 +42,7 @@
 //!    through the same `WaitSet`s that deliver frames); new workers are
 //!    spawned, retired ones joined, and the driver's right entry channel
 //!    moves to the new rightmost node.  Once every worker confirms, the
-//!    driver resumes the schedule with an injector rebuilt for the new
+//!    driver resumes the schedule with its injector retargeted at the new
 //!    node count.
 //!
 //! Old tuples keep resting where the reconfiguration left them; the
@@ -66,26 +65,27 @@ use crate::autoscale::{AutoscaleOptions, Controller};
 use crate::channel::{bounded, spsc_bounded, spsc_unbounded, unbounded, Receiver, Sender, WaitSet};
 use crate::exec::{
     spawn_collector, CensusReport, CollectorConfig, CoreMap, EntryState, InFlight, ScaleConfirm,
-    StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared, WorkerWiring,
+    StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared,
 };
 use crate::metrics::MetricsBus;
 use crate::options::{Pacing, PipelineOptions, Transport};
+use crate::pipeline::RunOutcome;
+use crate::replay::{replay, Checkpointing, Deployment, Steering};
 use llhj_core::checkpoint::{
     load_latest_checkpoint, ChainCheckpoint, ChainCheckpointer, CheckpointError, CheckpointPayload,
     CheckpointStore, ReplayLog,
 };
-use llhj_core::driver::{DriverSchedule, Injector, StreamEvent};
+use llhj_core::driver::{DriverEvent, DriverSchedule, Injector, StreamEvent};
 use llhj_core::homing::HomePolicy;
 use llhj_core::message::{LeftToRight, MessageBatch, RightToLeft};
 use llhj_core::metrics::AutoscaleReport;
 use llhj_core::node::PipelineNode;
 use llhj_core::predicate::JoinPredicate;
-use llhj_core::punctuation::{HighWaterMarks, OutputItem};
+use llhj_core::punctuation::HighWaterMarks;
 use llhj_core::rebalance::{EdgeTransfer, MigrationConstraint, RedistributionPlan};
 use llhj_core::result::TimedResult;
-use llhj_core::stats::{LatencyPoint, LatencySummary, NodeCounters};
-use llhj_core::time::Timestamp;
-use llhj_core::tuple::SeqNo;
+use llhj_core::stats::NodeCounters;
+use llhj_core::time::{TimeDelta, Timestamp};
 use llhj_sync::sync::atomic::{AtomicBool, Ordering};
 use llhj_sync::sync::Arc;
 use llhj_sync::thread::JoinHandle;
@@ -127,6 +127,22 @@ fn inner_link<R, S>(options: &PipelineOptions, waiter: &WaitSet) -> Link<R, S> {
 /// Builds one pipeline node for position `id` of `nodes`.  The elastic
 /// pipeline re-invokes the factory whenever growth adds nodes.
 pub type NodeFactory<R, S> = Arc<dyn Fn(usize, usize) -> Box<dyn PipelineNode<R, S>> + Send + Sync>;
+
+fn assert_migratable<R, S>(node: &dyn PipelineNode<R, S>, id: usize) {
+    assert!(
+        node.supports_migration(),
+        "elastic pipelines require nodes that support state migration \
+         (node {id} does not)"
+    );
+}
+
+/// Builds the `width` nodes of a fresh chain.
+pub(crate) fn build_nodes<R, S>(
+    factory: &NodeFactory<R, S>,
+    width: usize,
+) -> Vec<Box<dyn PipelineNode<R, S>>> {
+    (0..width).map(|k| factory(k, width)).collect()
+}
 
 /// A [`NodeFactory`] producing plain low-latency handshake join nodes.
 pub fn llhj_factory<R, S, P>(predicate: P) -> NodeFactory<R, S>
@@ -264,79 +280,26 @@ pub struct ResizeEvent {
     pub fence_wall_micros: u64,
 }
 
-/// Everything measured during one elastic run.
-#[derive(Debug)]
-pub struct ElasticOutcome<R, S> {
-    /// All produced results, in collection order.
-    pub results: Vec<TimedResult<R, S>>,
-    /// The punctuated output stream (empty unless `punctuate` was set).
-    pub output: Vec<OutputItem<TimedResult<R, S>>>,
-    /// Work counters of the nodes alive at shutdown, indexed by node id.
-    pub counters: Vec<NodeCounters>,
-    /// Work counters of nodes retired by shrink operations, in retirement
-    /// order.
-    pub retired_counters: Vec<NodeCounters>,
-    /// Latency statistics (meaningful only for paced runs).
-    pub latency: LatencySummary,
-    /// Latency time series.
-    pub latency_series: Vec<LatencyPoint>,
-    /// Wall-clock time the run took.
-    pub elapsed: Duration,
-    /// Number of punctuations emitted.
-    pub punctuation_count: u64,
-    /// Number of R/S arrivals injected.
-    pub arrivals_per_stream: (usize, usize),
-    /// Number of frames the driver injected into the pipeline ends.
-    pub frames_injected: u64,
-    /// Idle wake-ups accumulated across all workers (alive and retired).
-    pub idle_wakeups: u64,
-    /// Every reconfiguration the pipeline went through, in order.
-    pub resize_log: Vec<ResizeEvent>,
-    /// Final chain width.
-    pub nodes: usize,
-    /// True if the run was interrupted by [`PipelineOptions::cancel`].
-    pub cancelled: bool,
-}
-
-impl<R, S> ElasticOutcome<R, S> {
-    /// Sorted `(r_seq, s_seq)` result keys for comparison with the oracle.
-    pub fn result_keys(&self) -> Vec<(SeqNo, SeqNo)> {
-        let mut keys: Vec<_> = self.results.iter().map(|t| t.result.key()).collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Total predicate evaluations across all workers, retired included.
-    pub fn total_comparisons(&self) -> u64 {
-        self.counters
-            .iter()
-            .chain(self.retired_counters.iter())
-            .map(|c| c.comparisons)
-            .sum()
-    }
-}
-
 /// A live, resizable handshake-join pipeline.
 ///
-/// Unlike [`crate::run_pipeline`] (fixed chain), the elastic pipeline owns
-/// its workers and wiring behind a handle, so the chain can be resized
-/// between schedule events via [`ScalePipeline`].  Use
-/// [`run_elastic_pipeline`] for the common replay-with-plan case,
-/// [`crate::autoscale::run_autoscaled_pipeline`] for the closed loop, or
-/// drive [`ElasticPipeline::run_schedule`] / [`ScalePipeline::scale_to`] /
-/// [`ElasticPipeline::finish`] directly.
+/// The elastic pipeline owns its workers and wiring behind a handle, so
+/// the chain can be resized between schedule events via
+/// [`ScalePipeline`].  Use [`run_elastic_pipeline`] for the common
+/// replay-with-plan case, [`crate::autoscale::run_autoscaled_pipeline`]
+/// for the closed loop, or drive [`ElasticPipeline::run_schedule`] /
+/// [`ScalePipeline::scale_to`] / [`ElasticPipeline::finish`] directly.
 pub struct ElasticPipeline<R, S, P, H>
 where
     R: Clone + Send + Sync + 'static,
     S: Clone + Send + Sync + 'static,
-    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    H: HomePolicy + Clone,
+    P: JoinPredicate<R, S>,
+    H: HomePolicy,
 {
-    predicate: P,
-    policy: H,
-    factory: NodeFactory<R, S>,
-    /// The node type's migration semantics, probed from the factory once:
-    /// the redistribution planner clamps flows the node type forbids.
+    /// Builds the nodes a grow adds; `None` for a chain deployed from
+    /// prebuilt nodes ([`crate::run_pipeline`]), which never resizes.
+    factory: Option<NodeFactory<R, S>>,
+    /// The node type's migration semantics, read off the first node: the
+    /// redistribution planner clamps flows the node type forbids.
     constraint: MigrationConstraint,
     options: PipelineOptions,
     workers: Vec<WorkerHandle<R, S>>,
@@ -350,17 +313,17 @@ where
     result_tx: Option<Sender<TimedResult<R, S>>>,
     collector: Option<JoinHandle<crate::exec::CollectorOutcome<R, S>>>,
     injector: Injector<R, S, P, H>,
-    started: Instant,
     resize_log: Vec<ResizeEvent>,
     retired_counters: Vec<NodeCounters>,
     retired_idle_wakeups: u64,
+    retired_batch_allocs: u64,
     migration_stall: Option<Duration>,
     seen_r: usize,
     seen_s: usize,
     cancelled: bool,
     /// Core placement for worker/collector threads; `None` when pinning is
-    /// off or unavailable.  The elastic driver itself stays unpinned: it
-    /// is the caller's thread, and resizes change its working set anyway.
+    /// off or unavailable.  The driver itself stays unpinned: it is the
+    /// caller's thread, and resizes change its working set anyway.
     core_map: Option<CoreMap>,
     /// Next pin slot to hand a newly spawned worker (grown workers keep
     /// taking fresh slots; the map wraps modulo the core count).
@@ -371,8 +334,8 @@ impl<R, S, P, H> ElasticPipeline<R, S, P, H>
 where
     R: Clone + Send + Sync + 'static,
     S: Clone + Send + Sync + 'static,
-    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    H: HomePolicy + Clone,
+    P: JoinPredicate<R, S>,
+    H: HomePolicy,
 {
     /// Deploys an elastic pipeline of `initial_nodes` nodes built by
     /// `factory`.  Every node the factory produces must support state
@@ -384,25 +347,41 @@ where
         policy: H,
         options: PipelineOptions,
     ) -> Self {
-        assert!(initial_nodes > 0, "pipeline needs at least one node");
+        let nodes = build_nodes(&factory, initial_nodes);
+        ElasticPipeline::deploy(nodes, Some(factory), predicate, policy, options, None)
+    }
+
+    /// Deploys a chain of the given, already built nodes.  With a
+    /// `factory` the chain can resize (and every node must support state
+    /// migration); without one it is a fixed chain.  `clock` is the
+    /// deployment's clock when the chain is part of a mesh; a standalone
+    /// chain starts its own here, after its nodes were built, so node
+    /// construction never lands inside a latency.
+    pub(crate) fn deploy(
+        nodes: Vec<Box<dyn PipelineNode<R, S>>>,
+        factory: Option<NodeFactory<R, S>>,
+        predicate: P,
+        policy: H,
+        options: PipelineOptions,
+        clock: Option<Arc<StreamClock>>,
+    ) -> Self {
+        let n = nodes.len();
+        assert!(n > 0, "pipeline needs at least one node");
         options
             .validate()
             .unwrap_or_else(|err| panic!("invalid PipelineOptions: {err}"));
-
-        let in_flight = Arc::new(InFlight::new());
-        let clock = Arc::new(StreamClock::new(options.pacing));
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_signal = WaitSet::new();
-        let hwm = HighWaterMarks::new();
-        let metrics = Arc::new(MetricsBus::new());
+        if factory.is_some() {
+            for (id, node) in nodes.iter().enumerate() {
+                assert_migratable(node.as_ref(), id);
+            }
+        }
         let (result_tx, result_rx) = unbounded();
 
-        // Channel chain, exactly as in the fixed runtime: bounded entry
-        // channels (driver backpressure), unbounded inner links (two
-        // neighbours may send to each other simultaneously).  The wait
+        // Channel chain: bounded entry channels (driver backpressure),
+        // unbounded inner links (two neighbours may send to each other
+        // simultaneously, so bounded links could deadlock).  The wait
         // sets are created first — ring channels bind their consumer's
         // wait set at construction.
-        let n = initial_nodes;
         let waitsets: Vec<WaitSet> = (0..n).map(|_| WaitSet::new()).collect();
         let mut ltr_tx: Vec<Option<Sender<Frame<R, S>>>> = Vec::with_capacity(n);
         let mut ltr_rx: Vec<Option<Receiver<Frame<R, S>>>> = Vec::with_capacity(n);
@@ -427,42 +406,35 @@ where
         let left_tx = ltr_tx[0].take().expect("entry channel");
         let right_tx = rtl_tx[n - 1].take().expect("entry channel");
 
-        // Workers plus collector; the driver (caller's thread) stays
-        // unpinned on the elastic path.
-        let core_map = CoreMap::new(options.pin_cores, n + 1, options.pin_core_offset);
-
-        let constraint = factory(0, 1).migration_constraint();
         let mut pipeline = ElasticPipeline {
-            predicate: predicate.clone(),
-            policy: policy.clone(),
             factory,
-            constraint,
+            constraint: nodes[0].migration_constraint(),
             workers: Vec::with_capacity(n),
             entry: EntryState::new(left_tx, right_tx),
-            in_flight,
-            clock,
-            stop,
-            stop_signal,
-            hwm,
-            metrics,
+            in_flight: Arc::new(InFlight::new()),
+            clock: clock.unwrap_or_else(|| Arc::new(StreamClock::new(options.pacing))),
+            stop: Arc::new(AtomicBool::new(false)),
+            stop_signal: WaitSet::new(),
+            hwm: HighWaterMarks::new(),
+            metrics: Arc::new(MetricsBus::new()),
             result_tx: Some(result_tx),
             collector: None,
             injector: Injector::new(predicate, policy, n),
-            started: Instant::now(),
             resize_log: Vec::new(),
             retired_counters: Vec::new(),
             retired_idle_wakeups: 0,
+            retired_batch_allocs: 0,
             migration_stall: None,
             seen_r: 0,
             seen_s: 0,
             cancelled: false,
-            core_map,
+            // Workers plus collector.
+            core_map: CoreMap::new(options.pin_cores, n + 1, options.pin_core_offset),
             next_pin_slot: 0,
             options,
         };
 
-        let mut waitsets_iter = waitsets.into_iter();
-        for k in 0..n {
+        for ((k, node), waitset) in nodes.into_iter().enumerate().zip(waitsets) {
             let left_rx = ltr_rx[k].take().expect("left input");
             let right_rx = rtl_rx[k].take().expect("right input");
             let to_right = if k + 1 < n {
@@ -471,16 +443,16 @@ where
                 None
             };
             let to_left = if k > 0 { rtl_tx[k - 1].take() } else { None };
-            let waitset = waitsets_iter.next().expect("one wait set per worker");
-            let handle = pipeline.spawn_worker(k, n, left_rx, right_rx, to_left, to_right, waitset);
+            let handle =
+                pipeline.spawn_worker(k, n, node, left_rx, right_rx, to_left, to_right, waitset);
             pipeline.workers.push(handle);
         }
         let collector = spawn_collector(
-            vec![result_rx],
+            result_rx,
             Arc::clone(&pipeline.stop),
             pipeline.stop_signal.clone(),
             Arc::clone(&pipeline.hwm),
-            Some(Arc::clone(&pipeline.metrics)),
+            Arc::clone(&pipeline.metrics),
             CollectorConfig {
                 punctuate: pipeline.options.punctuate,
                 interval: pipeline.options.collect_interval,
@@ -508,10 +480,6 @@ where
     /// dashboards may too).
     pub fn metrics_bus(&self) -> Arc<MetricsBus> {
         Arc::clone(&self.metrics)
-    }
-
-    pub(crate) fn stream_clock(&self) -> Arc<StreamClock> {
-        Arc::clone(&self.clock)
     }
 
     /// Test instrumentation: stalls every segment absorption by `stall`,
@@ -542,27 +510,22 @@ where
         Some(core)
     }
 
-    /// Spawns one worker on `waitset`.  The wait set must be the one every
-    /// ring channel handed to this worker was constructed with — the
-    /// channels bind it at construction, and `Worker::spawn`'s
+    /// Spawns one worker running `node` on `waitset`.  The wait set must
+    /// be the one every ring channel handed to this worker was constructed
+    /// with — the channels bind it at construction, and `Worker::spawn`'s
     /// `set_waiter` calls assert the binding.
     #[allow(clippy::too_many_arguments)]
     fn spawn_worker(
         &mut self,
         id: usize,
         nodes: usize,
+        node: Box<dyn PipelineNode<R, S>>,
         left_rx: Receiver<Frame<R, S>>,
         right_rx: Receiver<Frame<R, S>>,
         to_left: Option<Sender<Frame<R, S>>>,
         to_right: Option<Sender<Frame<R, S>>>,
         waitset: WaitSet,
     ) -> WorkerHandle<R, S> {
-        let node = (self.factory)(id, nodes);
-        assert!(
-            node.supports_migration(),
-            "elastic pipelines require nodes that support state migration \
-             (node {id} does not)"
-        );
         let shared = WorkerShared {
             hwm: Arc::clone(&self.hwm),
             clock: Arc::clone(&self.clock),
@@ -573,32 +536,32 @@ where
                 .as_ref()
                 .expect("workers spawn before finish")
                 .clone(),
-            busy_ns: Some(self.metrics.register_node(id)),
+            busy_ns: self.metrics.register_node(id),
         };
-        // Elastic workers recycle frame buffers through their local pools
-        // only: the chain ends move on every resize, so a driver flow-back
-        // edge would need re-wiring inside the fence for no measured gain.
-        let mut wiring = WorkerWiring::new(waitset);
-        wiring.pin_core = self.take_pin_slot();
+        let pin_core = self.take_pin_slot();
         Worker::spawn(
-            id, nodes, node, left_rx, right_rx, to_left, to_right, shared, true, wiring,
+            id, nodes, node, left_rx, right_rx, to_left, to_right, shared, waitset, pin_core,
         )
+    }
+
+    /// Builds the node for position `id` of a grown chain of `nodes`.
+    fn grown_node(&self, id: usize, nodes: usize) -> Box<dyn PipelineNode<R, S>> {
+        let factory = self
+            .factory
+            .as_ref()
+            .expect("a chain deployed from prebuilt nodes cannot grow");
+        let node = factory(id, nodes);
+        assert_migratable(node.as_ref(), id);
+        node
     }
 
     // -- driver-side entry batching -------------------------------------
 
-    fn flush_both(&mut self) {
-        self.entry.flush_both(&self.in_flight);
-    }
-
     /// Injects one driver event, applying `batch_size` / `flush_interval`
-    /// exactly like the fixed runtime's driver (same [`EntryState`]).
-    fn inject(
-        &mut self,
-        event: &llhj_core::driver::DriverEvent<R, S>,
-        schedule_r: usize,
-        schedule_s: usize,
-    ) {
+    /// through the chain's [`EntryState`].  `schedule_r` / `schedule_s`
+    /// are the schedule's arrival counts (`usize::MAX` when unknown): a
+    /// stream's last arrival flushes its frame at once.
+    fn inject_event(&mut self, event: &DriverEvent<R, S>, schedule_r: usize, schedule_s: usize) {
         self.clock.note_injection(event.at);
         if let Some(interval) = self.options.flush_interval {
             self.entry
@@ -665,99 +628,18 @@ where
         }
     }
 
-    /// Real-time pacing wait before injecting an event scheduled at `at`.
-    /// Returns `true` if the wait was cancelled.
-    ///
-    /// With a `flush_interval` configured the wait is sliced at half the
-    /// interval of wall time: the fixed runtime bounds a partial entry
-    /// frame's wait with a dedicated timer thread, but the elastic driver
-    /// owns its entry buffers, so it plays that role itself — a stream
-    /// that goes silent mid-run still cannot hold an assembled frame
-    /// beyond the interval.
-    ///
-    /// With a `controller` attached the wait also *actuates* the
-    /// auto-scaler: the slice additionally caps at the controller's
-    /// sampling tick, and every slice applies a newly published desired
-    /// width through the usual fenced protocol.  This is what makes the
-    /// closed loop converge on a *silent* stream — a desired resize
-    /// published during an arrival gap lands on the next tick instead of
-    /// waiting for traffic to resume (fencing an idle chain is nearly
-    /// free: there is nothing in flight to drain).
-    fn pace_until(
-        &mut self,
-        at: Timestamp,
-        cancel: &crate::channel::CancelToken,
-        controller: Option<&Controller>,
-    ) -> bool {
-        if !matches!(self.options.pacing, Pacing::RealTime { .. }) {
-            return false;
-        }
-        let target = self
-            .options
-            .stream_to_wall(at.saturating_since(Timestamp::ZERO));
-        let deadline = self.started + target;
-        let floor = Duration::from_micros(50);
-        let flush_slice = self
-            .options
-            .flush_interval
-            .map(|i| (self.options.stream_to_wall(i) / 2).max(floor));
-        let tick_slice = controller.map(|c| c.tick().max(floor));
-        let slice = match (flush_slice, tick_slice) {
-            (Some(f), Some(t)) => Some(f.min(t)),
-            (s, None) | (None, s) => s,
-        };
-        loop {
-            if let Some(controller) = controller {
-                if let Some(width) = controller.desired_if_changed(self.nodes()) {
-                    self.scale_to(width);
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let wake = match slice {
-                Some(slice) => deadline.min(now + slice),
-                None => deadline,
-            };
-            if cancel.wait_until(wake) {
-                return true;
-            }
-            if let Some(interval) = self.options.flush_interval {
-                let now_ts = self.clock.now();
-                self.entry
-                    .flush_older_than(now_ts, interval, &self.in_flight);
-            }
-        }
-    }
-
     /// Replays a driver schedule against the live pipeline, firing the
     /// plan's resizes at their event indexes.  Returns `true` if the
     /// replay was cancelled.  Call once per pipeline; then [`Self::finish`].
     pub fn run_schedule(&mut self, schedule: &DriverSchedule<R, S>, plan: &ScalePlan) -> bool {
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        let mut steps = plan.steps().iter().peekable();
-        for (idx, event) in schedule.events().iter().enumerate() {
-            while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
-                let target = step.target_nodes;
-                self.scale_to(target);
-            }
-            if cancel.is_cancelled() || self.pace_until(event.at, &cancel, None) {
-                self.cancelled = true;
-                break;
-            }
-            self.inject(event, schedule.r_count(), schedule.s_count());
-        }
-        // Trailing resizes (plan points at or past the schedule end) still
-        // run: a conformance sweep may place a resize on the very last
-        // event.
-        if !self.cancelled {
-            let remaining: Vec<ScaleStep> = steps.copied().collect();
-            for step in remaining {
-                self.scale_to(step.target_nodes);
-            }
-        }
-        self.flush_both();
+        let cancelled = replay(
+            self,
+            schedule.events(),
+            (schedule.r_count(), schedule.s_count()),
+            Steering::Plan(plan.steps()),
+            None,
+        );
+        self.cancelled |= cancelled;
         self.cancelled
     }
 
@@ -787,17 +669,16 @@ where
             autoscale,
             &self.options,
             self.metrics_bus(),
-            self.stream_clock(),
+            Arc::clone(&self.clock),
         );
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        for event in schedule.events() {
-            if cancel.is_cancelled() || self.pace_until(event.at, &cancel, Some(&controller)) {
-                self.cancelled = true;
-                break;
-            }
-            self.inject(event, schedule.r_count(), schedule.s_count());
-        }
-        self.flush_both();
+        let cancelled = replay(
+            self,
+            schedule.events(),
+            (schedule.r_count(), schedule.s_count()),
+            Steering::Autoscale(&controller),
+            None,
+        );
+        self.cancelled |= cancelled;
         controller.finish()
     }
 
@@ -805,8 +686,8 @@ where
 
     /// Fences the pipeline: flushes partial entry frames, then waits until
     /// no frame is in flight anywhere in the chain.
-    fn fence(&mut self) {
-        self.flush_both();
+    pub(crate) fn fence(&mut self) {
+        self.entry.flush_both(&self.in_flight);
         self.in_flight.wait_for_quiescence();
     }
 
@@ -831,7 +712,7 @@ where
         let retiring: Vec<WorkerHandle<R, S>> = self.workers.split_off(target);
         for (offset, handle) in retiring.iter().enumerate().rev() {
             let k = target + offset;
-            let _ = handle.commands().send(WorkerCommand::Retire {
+            let _ = handle.commands.send(WorkerCommand::Retire {
                 absorb_first: k + 1 < current,
                 stall,
             });
@@ -843,12 +724,12 @@ where
         let boundary = &self.workers[target - 1];
         let (new_right_tx, new_right_rx) = entry_link(&self.options, &boundary.waitset);
         new_right_rx.set_waiter(&boundary.waitset);
-        let _ = boundary.commands().send(WorkerCommand::Absorb {
+        let _ = boundary.commands.send(WorkerCommand::Absorb {
             from: llhj_core::message::Direction::Right,
             stall,
             done: done_tx.clone(),
         });
-        let _ = boundary.commands().send(WorkerCommand::Rewire {
+        let _ = boundary.commands.send(WorkerCommand::Rewire {
             id: target - 1,
             nodes: target,
             left_rx: None,
@@ -858,7 +739,7 @@ where
             done: done_tx.clone(),
         });
         for (k, handle) in self.workers.iter().enumerate().take(target - 1) {
-            let _ = handle.commands().send(WorkerCommand::Rewire {
+            let _ = handle.commands.send(WorkerCommand::Rewire {
                 id: k,
                 nodes: target,
                 left_rx: None,
@@ -874,6 +755,7 @@ where
             let exit = handle.handle.join().expect("retiring worker panicked");
             self.retired_counters.push(exit.counters);
             self.retired_idle_wakeups += exit.idle_wakeups;
+            self.retired_batch_allocs += exit.batch_allocs;
         }
         // One Absorb plus `target` Rewires confirm the surviving chain.
         let migrated = self.confirm(&done_rx, target + 1, "shrink confirmations");
@@ -942,9 +824,11 @@ where
                 } else {
                     (new_right_rx.take().expect("new entry"), None)
                 };
+                let node = self.grown_node(id, target);
                 let handle = self.spawn_worker(
                     id,
                     target,
+                    node,
                     left_rx,
                     right_rx,
                     to_left,
@@ -994,9 +878,11 @@ where
                     Some(lrtl[i - 1].0.clone())
                 };
                 let to_right = Some(lltr[i].0.clone());
+                let node = self.grown_node(i, target);
                 let handle = self.spawn_worker(
                     i,
                     target,
+                    node,
                     left_rx,
                     right_rx,
                     to_left,
@@ -1047,7 +933,7 @@ where
             } else {
                 (None, None)
             };
-            let _ = self.workers[k].commands().send(WorkerCommand::Rewire {
+            let _ = self.workers[k].commands.send(WorkerCommand::Rewire {
                 id: left_delta + k,
                 nodes: target,
                 left_rx,
@@ -1077,7 +963,7 @@ where
     fn census(&self) -> Vec<(usize, usize)> {
         let (done_tx, done_rx) = unbounded();
         for handle in &self.workers {
-            let _ = handle.commands().send(WorkerCommand::Census {
+            let _ = handle.commands.send(WorkerCommand::Census {
                 done: done_tx.clone(),
             });
         }
@@ -1102,7 +988,7 @@ where
         let (done_tx, done_rx) = unbounded();
         let direction = transfer.direction();
         let _ = self.workers[transfer.from]
-            .commands()
+            .commands
             .send(WorkerCommand::Shed {
                 direction,
                 r: transfer.r,
@@ -1110,7 +996,7 @@ where
                 done: done_tx.clone(),
             });
         let _ = self.workers[transfer.to]
-            .commands()
+            .commands
             .send(WorkerCommand::Absorb {
                 from: direction.opposite(),
                 stall: self.migration_stall,
@@ -1124,7 +1010,7 @@ where
     /// [`RedistributionPlan`] under the node type's constraint, route the
     /// plan's segments hop by hop along the existing channels, and return
     /// the moved-tuple count plus the post-redistribution census.
-    fn rebalance(&mut self) -> (usize, Vec<(usize, usize)>) {
+    pub(crate) fn rebalance(&mut self) -> (usize, Vec<(usize, usize)>) {
         let census = self.census();
         let plan = RedistributionPlan::balanced(&census, self.constraint);
         if plan.is_noop() {
@@ -1143,22 +1029,8 @@ where
     // The shard mesh (`crate::mesh`) drives N of these pipelines as the
     // chains of a key-partitioned mesh: one external router feeds events
     // to the owning chain, and a shard split/merge moves window state
-    // *across* chains.  These hooks expose exactly the pieces the mesh
-    // layer needs — online injection, the fence, and the cross-shard
-    // export/install protocol — without widening the public API.
-
-    /// Injects one routed driver event.  The mesh router decides online
-    /// which chain sees an event, so no per-chain schedule totals exist;
-    /// partial frames are flushed by `batch_size`, `flush_interval` and
-    /// the fences instead of the end-of-schedule count.
-    pub(crate) fn inject_routed(&mut self, event: &llhj_core::driver::DriverEvent<R, S>) {
-        self.inject(event, usize::MAX, usize::MAX);
-    }
-
-    /// Fences the chain for a mesh-wide reshard (public protocol step).
-    pub(crate) fn fence_for_reshard(&mut self) {
-        self.fence();
-    }
+    // *across* chains.  Besides `fence` and `rebalance`, these hooks are
+    // the cross-shard export/install protocol.
 
     /// Exports every node's full window, leaving the chain empty.  Only
     /// valid while fenced; segment `k` is node `k`'s window.
@@ -1167,7 +1039,7 @@ where
         for handle in &self.workers {
             let (done_tx, done_rx) = unbounded();
             let _ = handle
-                .commands()
+                .commands
                 .send(WorkerCommand::ExportAll { done: done_tx });
             match done_rx.recv_timeout(PROTOCOL_STEP_TIMEOUT) {
                 Ok(segment) => segments.push(segment),
@@ -1187,23 +1059,17 @@ where
         segment: llhj_core::message::WindowSegment<R, S>,
     ) -> usize {
         let (done_tx, done_rx) = unbounded();
-        let _ = self.workers[k].commands().send(WorkerCommand::Install {
+        let _ = self.workers[k].commands.send(WorkerCommand::Install {
             segment,
             done: done_tx,
         });
         self.confirm(&done_rx, 1, "a silent install confirmation")
     }
-
-    /// Runs the chain-wide redistribution pass (census → plan → hops).
-    /// Only valid while fenced; the mesh calls it after a reshard changed
-    /// the chain's resident state.
-    pub(crate) fn rebalance_fenced(&mut self) -> usize {
-        self.rebalance().0
-    }
 }
 
 /// Driver-side checkpoint cadence for
-/// [`ElasticPipeline::run_schedule_checkpointed`].
+/// [`ElasticPipeline::run_schedule_checkpointed`] and
+/// [`crate::MeshPipeline::run_schedule_checkpointed`].
 #[derive(Clone)]
 pub struct CheckpointConfig {
     /// Where checkpoint blobs are persisted.
@@ -1214,8 +1080,8 @@ pub struct CheckpointConfig {
     /// the ones between are deltas (see
     /// [`llhj_core::checkpoint::ChainCheckpointer`]).
     pub full_interval: u64,
-    /// The store slot this chain checkpoints into (shard index of a mesh
-    /// deployment; 0 for a standalone chain).
+    /// The store slot a standalone chain checkpoints into (a mesh writes
+    /// shard `i` into slot `i` and ignores this).
     pub shard: usize,
     /// Bound of the driver-side replay log.  Must comfortably exceed
     /// `every_events`, or a recovery can find its suffix already evicted
@@ -1238,12 +1104,54 @@ impl CheckpointConfig {
     }
 }
 
+/// Takes one coordinated checkpoint of `chains`: each chain fences and
+/// captures under the same global sequence number, `epoch` and
+/// consumed-event count, and chain `i` writes store slot `first_slot + i`.
+/// The driver is single-threaded, so no event lands between the per-chain
+/// captures — every chain observes the same consumed-event prefix, a
+/// coordinated cut by construction.  Returns `true` when every blob
+/// landed.
+///
+/// `checkpointers` follows the chain count first: chains added since the
+/// last checkpoint (a mesh split) join the sequence via
+/// [`ChainCheckpointer::starting_at`], merged-away ones stop writing
+/// (their stale higher-slot blobs are ignored because the anchor's
+/// `shards` field shrinks).
+pub(crate) fn checkpoint_chains<R, S, P, H>(
+    chains: &mut [ElasticPipeline<R, S, P, H>],
+    checkpointers: &mut Vec<ChainCheckpointer<R, S>>,
+    cfg: &CheckpointConfig,
+    first_slot: usize,
+    epoch: u64,
+    consumed: usize,
+) -> bool
+where
+    R: Clone + Send + Sync + CheckpointPayload + 'static,
+    S: Clone + Send + Sync + CheckpointPayload + 'static,
+    P: JoinPredicate<R, S>,
+    H: HomePolicy,
+{
+    let seq = checkpointers.first().map_or(0, |c| c.next_seq());
+    while checkpointers.len() < chains.len() {
+        let slot = first_slot + checkpointers.len();
+        checkpointers.push(ChainCheckpointer::starting_at(slot, cfg.full_interval, seq));
+    }
+    checkpointers.truncate(chains.len());
+    let shards = chains.len() as u32;
+    let mut all_landed = true;
+    for (chain, checkpointer) in chains.iter_mut().zip(checkpointers.iter_mut()) {
+        let ckpt = chain.capture_checkpoint(epoch, shards, consumed as u64);
+        all_landed &= checkpointer.append(cfg.store.as_ref(), ckpt).is_ok();
+    }
+    all_landed
+}
+
 impl<R, S, P, H> ElasticPipeline<R, S, P, H>
 where
     R: Clone + Send + Sync + CheckpointPayload + 'static,
     S: Clone + Send + Sync + CheckpointPayload + 'static,
-    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    H: HomePolicy + Clone,
+    P: JoinPredicate<R, S>,
+    H: HomePolicy,
 {
     /// Captures the chain's durable state inside a fence.
     ///
@@ -1292,20 +1200,6 @@ where
         self.hwm.observe_s(ckpt.hwm_s);
     }
 
-    /// Replays recovered driver events (paced exactly like a schedule
-    /// replay) until exhausted or cancelled.
-    pub(crate) fn replay_events(&mut self, events: &[llhj_core::driver::DriverEvent<R, S>]) {
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        for event in events {
-            if cancel.is_cancelled() || self.pace_until(event.at, &cancel, None) {
-                self.cancelled = true;
-                break;
-            }
-            self.inject_routed(event);
-        }
-        self.flush_both();
-    }
-
     /// [`ElasticPipeline::run_schedule`] with durability: every consumed
     /// event is recorded into a bounded [`ReplayLog`] before injection,
     /// and every `every_events` events the driver takes a fenced
@@ -1318,39 +1212,24 @@ where
         plan: &ScalePlan,
         cfg: &CheckpointConfig,
     ) -> (bool, ReplayLog<R, S>) {
-        let mut checkpointer: ChainCheckpointer<R, S> =
-            ChainCheckpointer::new(cfg.shard, cfg.full_interval);
-        let mut log: ReplayLog<R, S> = ReplayLog::new(cfg.replay_capacity);
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        let mut steps = plan.steps().iter().peekable();
-        for (idx, event) in schedule.events().iter().enumerate() {
-            while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
-                self.scale_to(step.target_nodes);
-            }
-            if cancel.is_cancelled() || self.pace_until(event.at, &cancel, None) {
-                self.cancelled = true;
-                break;
-            }
-            log.record(event.clone());
-            self.inject(event, schedule.r_count(), schedule.s_count());
-            let consumed = idx + 1;
-            if consumed.is_multiple_of(cfg.every_events) {
-                let ckpt = self.capture_checkpoint(0, 1, consumed as u64);
-                // A failed store write is not fatal to the run — the log
-                // simply is not trimmed, so recoverability degrades to the
-                // previous durable checkpoint instead of silently lying.
-                if checkpointer.append(cfg.store.as_ref(), ckpt).is_ok() {
-                    log.trim_to(consumed);
-                }
-            }
-        }
-        if !self.cancelled {
-            let remaining: Vec<ScaleStep> = steps.copied().collect();
-            for step in remaining {
-                self.scale_to(step.target_nodes);
-            }
-        }
-        self.flush_both();
+        let mut log = ReplayLog::new(cfg.replay_capacity);
+        let mut checkpointers = Vec::new();
+        let mut capture = |chain: &mut Self, consumed| {
+            let chains = std::slice::from_mut(chain);
+            checkpoint_chains(chains, &mut checkpointers, cfg, cfg.shard, 0, consumed)
+        };
+        let cancelled = replay(
+            self,
+            schedule.events(),
+            (schedule.r_count(), schedule.s_count()),
+            Steering::Plan(plan.steps()),
+            Some(Checkpointing {
+                every_events: cfg.every_events,
+                log: &mut log,
+                capture: &mut capture,
+            }),
+        );
+        self.cancelled |= cancelled;
         (self.cancelled, log)
     }
 }
@@ -1386,12 +1265,12 @@ pub fn recover_elastic_pipeline<R, S, P, H>(
     policy: H,
     options: &PipelineOptions,
     log: &ReplayLog<R, S>,
-) -> Result<ElasticOutcome<R, S>, CheckpointError>
+) -> Result<RunOutcome<R, S>, CheckpointError>
 where
     R: Clone + Send + Sync + CheckpointPayload + 'static,
     S: Clone + Send + Sync + CheckpointPayload + 'static,
-    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    H: HomePolicy + Clone,
+    P: JoinPredicate<R, S>,
+    H: HomePolicy,
 {
     let restored = match load_latest_checkpoint::<R, S>(store, shard) {
         Ok((_seq, ckpt)) => Some(ckpt),
@@ -1405,7 +1284,15 @@ where
     if let Some(ckpt) = restored {
         pipeline.restore_checkpoint(ckpt);
     }
-    pipeline.replay_events(&suffix);
+    // A recovered suffix has no schedule totals: partial frames are
+    // flushed by `batch_size`, `flush_interval` and the final flush.
+    pipeline.cancelled = replay(
+        &mut pipeline,
+        &suffix,
+        (usize::MAX, usize::MAX),
+        Steering::Plan(&[]),
+        None,
+    );
     Ok(pipeline.finish())
 }
 
@@ -1413,8 +1300,8 @@ impl<R, S, P, H> ScalePipeline for ElasticPipeline<R, S, P, H>
 where
     R: Clone + Send + Sync + 'static,
     S: Clone + Send + Sync + 'static,
-    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    H: HomePolicy + Clone,
+    P: JoinPredicate<R, S>,
+    H: HomePolicy,
 {
     fn grow(&mut self, delta: usize) {
         self.scale_to(self.nodes() + delta);
@@ -1431,6 +1318,10 @@ where
         if target == current {
             return;
         }
+        assert!(
+            self.factory.is_some(),
+            "a chain deployed from prebuilt nodes cannot resize"
+        );
         let wall_start = Instant::now();
         self.fence();
         let migrated = if target < current {
@@ -1444,7 +1335,7 @@ where
         // before resuming, so the resized chain is warm immediately
         // instead of after a window turnover.
         let (rebalanced, residence_after) = self.rebalance();
-        self.injector = Injector::new(self.predicate.clone(), self.policy.clone(), target);
+        self.injector.resize(target);
         self.metrics.set_nodes(target);
         self.register_occupancy_probe();
         self.resize_log.push(ResizeEvent {
@@ -1459,15 +1350,61 @@ where
     }
 }
 
+impl<R, S, P, H> Deployment<R, S> for ElasticPipeline<R, S, P, H>
+where
+    R: Clone + Send + Sync + 'static,
+    S: Clone + Send + Sync + 'static,
+    P: JoinPredicate<R, S>,
+    H: HomePolicy,
+{
+    type Step = ScaleStep;
+
+    fn due_at(step: &ScaleStep) -> usize {
+        step.after_events
+    }
+
+    fn options(&self) -> &PipelineOptions {
+        &self.options
+    }
+
+    fn clock(&self) -> &StreamClock {
+        &self.clock
+    }
+
+    fn inject(&mut self, event: &DriverEvent<R, S>, totals: (usize, usize)) {
+        self.inject_event(event, totals.0, totals.1);
+    }
+
+    fn flush_aged(&mut self, now: Timestamp, interval: TimeDelta) {
+        self.entry.flush_older_than(now, interval, &self.in_flight);
+    }
+
+    fn flush_all(&mut self) {
+        self.entry.flush_both(&self.in_flight);
+    }
+
+    fn step(&mut self, step: &ScaleStep, _at_event: usize) {
+        self.scale_to(step.target_nodes);
+    }
+
+    fn width(&self) -> usize {
+        self.nodes()
+    }
+
+    fn resize(&mut self, width: usize, _at_event: usize) {
+        self.scale_to(width);
+    }
+}
+
 impl<R, S, P, H> ElasticPipeline<R, S, P, H>
 where
     R: Clone + Send + Sync + 'static,
     S: Clone + Send + Sync + 'static,
-    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    H: HomePolicy + Clone,
+    P: JoinPredicate<R, S>,
+    H: HomePolicy,
 {
     /// Drains the pipeline, stops every thread and returns the outcome.
-    pub fn finish(mut self) -> ElasticOutcome<R, S> {
+    pub fn finish(mut self) -> RunOutcome<R, S> {
         self.fence();
         self.stop.store(true, Ordering::SeqCst);
         for worker in &self.workers {
@@ -1477,11 +1414,14 @@ where
 
         let mut counters = Vec::with_capacity(self.workers.len());
         let mut idle_wakeups = self.retired_idle_wakeups;
+        // Every entry frame leaves in a freshly allocated buffer.
+        let mut batch_allocs = self.entry.frames_injected + self.retired_batch_allocs;
         let nodes = self.workers.len();
         for worker in self.workers.drain(..) {
             let exit = worker.handle.join().expect("worker thread panicked");
             counters.push(exit.counters);
             idle_wakeups += exit.idle_wakeups;
+            batch_allocs += exit.batch_allocs;
         }
         drop(self.result_tx.take());
         let collected = self
@@ -1491,17 +1431,18 @@ where
             .join()
             .expect("collector thread panicked");
 
-        ElasticOutcome {
+        RunOutcome {
             results: collected.results,
             output: collected.output,
             counters,
             retired_counters: std::mem::take(&mut self.retired_counters),
             latency: collected.latency,
             latency_series: collected.series.finish(),
-            elapsed: self.started.elapsed(),
+            elapsed: self.clock.start().elapsed(),
             punctuation_count: collected.punctuation_count,
             arrivals_per_stream: (self.seen_r, self.seen_s),
             frames_injected: self.entry.frames_injected,
+            batch_allocs,
             idle_wakeups,
             resize_log: std::mem::take(&mut self.resize_log),
             nodes,
@@ -1514,8 +1455,8 @@ impl<R, S, P, H> Drop for ElasticPipeline<R, S, P, H>
 where
     R: Clone + Send + Sync + 'static,
     S: Clone + Send + Sync + 'static,
-    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    H: HomePolicy + Clone,
+    P: JoinPredicate<R, S>,
+    H: HomePolicy,
 {
     /// A pipeline dropped without [`ElasticPipeline::finish`] (e.g. by a
     /// panic) signals its threads to exit rather than joining them —
@@ -1543,12 +1484,12 @@ pub fn run_elastic_pipeline<R, S, P, H>(
     schedule: &DriverSchedule<R, S>,
     plan: &ScalePlan,
     options: &PipelineOptions,
-) -> ElasticOutcome<R, S>
+) -> RunOutcome<R, S>
 where
     R: Clone + Send + Sync + 'static,
     S: Clone + Send + Sync + 'static,
-    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
-    H: HomePolicy + Clone,
+    P: JoinPredicate<R, S>,
+    H: HomePolicy,
 {
     let mut pipeline =
         ElasticPipeline::new(initial_nodes, factory, predicate, policy, options.clone());
@@ -1562,7 +1503,7 @@ mod tests {
     use llhj_baselines::run_kang;
     use llhj_core::homing::RoundRobin;
     use llhj_core::predicate::FnPredicate;
-    use llhj_core::time::TimeDelta;
+    use llhj_core::tuple::SeqNo;
     use llhj_core::window::WindowSpec;
 
     fn eq_pred() -> FnPredicate<fn(&u32, &u32) -> bool> {
@@ -1699,10 +1640,9 @@ mod tests {
         assert_eq!(outcome.retired_counters.len(), 3);
     }
 
-    /// The elastic counterpart of the fixed runtime's flush-timer
-    /// guarantee: a stream that goes silent mid-run must not hold a
-    /// partial entry frame hostage until the next schedule event — the
-    /// sliced pacing wait flushes it within `flush_interval` of wall time.
+    /// A stream that goes silent mid-run must not hold a partial entry
+    /// frame hostage until the next schedule event — the sliced pacing
+    /// wait flushes it within `flush_interval` of wall time.
     #[test]
     fn silent_gap_cannot_hold_a_partial_entry_frame() {
         let eq = eq_pred();
@@ -1746,6 +1686,41 @@ mod tests {
             latency < TimeDelta::from_millis(200),
             "pre-gap result waited {latency} — the sliced pacing wait \
              should have flushed it near the 10 ms interval"
+        );
+    }
+
+    /// Building the chain's nodes is not part of any latency: the clock
+    /// the driver paces from starts after the nodes exist, so a factory
+    /// that takes 50 ms per node delays the run, not its results.
+    #[test]
+    fn slow_node_construction_stays_out_of_the_latencies() {
+        let slow: NodeFactory<u32, u32> = Arc::new(|id, nodes| {
+            llhj_sync::thread::sleep(Duration::from_millis(50));
+            Box::new(llhj_core::node_llhj::LlhjNode::new(id, nodes, eq_pred()))
+        });
+        let sched = schedule(50, 100);
+        let outcome = run_elastic_pipeline(
+            2,
+            slow,
+            eq_pred(),
+            RoundRobin,
+            &sched,
+            &ScalePlan::none(),
+            &paced_opts(1),
+        );
+        assert_eq!(
+            outcome.result_keys(),
+            run_kang(eq_pred(), &sched).result_keys()
+        );
+        let worst = outcome
+            .results
+            .iter()
+            .map(|t| t.latency())
+            .max()
+            .expect("the schedule has matches");
+        assert!(
+            worst < TimeDelta::from_millis(25),
+            "node construction leaked into the latencies: worst {worst}"
         );
     }
 

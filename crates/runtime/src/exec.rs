@@ -1,31 +1,25 @@
-//! Shared execution machinery of the threaded runtimes.
+//! The data plane of the threaded runtime.
 //!
-//! The fixed pipeline ([`crate::run_pipeline`]) and the elastic pipeline
-//! ([`crate::elastic::ElasticPipeline`]) are the *same* data plane — worker
-//! threads moving [`MessageBatch`] frames between neighbours, a driver
-//! assembling entry frames, a collector vacuuming result queues — and for
-//! two PRs they carried two copies of it (the fixed path on scoped threads
-//! and borrowed state, the elastic path on owned `'static` state), a
-//! divergence ROADMAP called out explicitly.  This module is the single
-//! implementation both deploy:
+//! Every deployment — a fixed chain ([`crate::run_pipeline`]), an elastic
+//! chain ([`crate::elastic::ElasticPipeline`]) and each chain of a shard
+//! mesh — runs this one implementation:
 //!
 //! * [`Worker`] — the worker thread: event-driven two-input poll loop,
 //!   frame handling (batch dispatch, high-water-mark observation, output
-//!   forwarding, result emission, in-flight accounting), plus the elastic
-//!   command mailbox (rewire / absorb / retire).  A fixed pipeline simply
-//!   never sends a command — it *is* an elastic pipeline that never
-//!   resizes.
+//!   forwarding, result emission, in-flight accounting), plus the command
+//!   mailbox (rewire / absorb / retire).  A fixed chain simply never sends
+//!   a command — it *is* an elastic chain that never resizes.
 //! * [`EntryBatcher`] / [`EntryState`] — the driver's entry-frame assembly
 //!   for one direction / both directions: `batch_size` arrivals per frame,
 //!   expiries riding along, `flush_interval` aging.
 //! * [`spawn_collector`] — the collector thread: reads the high-water
 //!   marks *before* vacuuming (Section 6.1.3 step 1), drains the result
-//!   queues, emits punctuations, and feeds the metrics bus's latency EWMA.
+//!   channel, emits punctuations, and feeds the metrics bus's latency EWMA.
 //! * The shared primitives: [`StreamClock`], [`InFlight`] (quiescence
 //!   accounting), [`send_frame`], [`WORKER_PARK`].
 //!
 //! Everything here is `pub(crate)`: the public API stays in
-//! [`crate::pipeline`] and [`crate::elastic`].
+//! [`crate::pipeline`], [`crate::elastic`] and [`crate::mesh`].
 
 use crate::channel::{unbounded, Receiver, Sender, WaitSet};
 use crate::metrics::MetricsBus;
@@ -118,7 +112,7 @@ pub(crate) fn pinning_available(threads: usize) -> bool {
             .unwrap_or(false)
 }
 
-/// Assigns the pipeline's threads (workers, collector, driver) to cores.
+/// Assigns the pipeline's worker and collector threads to cores.
 ///
 /// Built only when `pin_cores` is requested *and*
 /// [`pinning_available`] holds — otherwise every caller sees `None` and
@@ -146,13 +140,6 @@ impl CoreMap {
     pub(crate) fn core(&self, slot: usize) -> usize {
         (self.offset + slot) % self.cores
     }
-
-    /// Pins the calling thread to slot `slot`'s core (the driver pins
-    /// itself; workers and the collector are handed their core through
-    /// their spawn arguments).
-    pub(crate) fn pin_current(&self, slot: usize) {
-        affinity::pin_current_thread(self.core(slot));
-    }
 }
 
 /// Pins the calling thread to `core`; worker/collector threads call this
@@ -161,13 +148,17 @@ pub(crate) fn pin_thread(core: usize) {
     affinity::pin_current_thread(core);
 }
 
-/// Restores the calling thread's affinity to all cores (the driver runs
-/// on the caller's thread, which must not stay pinned after the run).
+/// Restores the calling thread's affinity to all cores.
 pub(crate) fn unpin_thread() {
     affinity::unpin_current_thread();
 }
 
 /// The shared stream clock: maps wall-clock time to stream time.
+///
+/// A deployment owns exactly one.  Its `start` is the instant stream time
+/// zero maps to, and the driver paces every event from that same instant,
+/// so a result's `detected_at` and its arrival's scheduled timestamp are
+/// on one time axis.
 pub(crate) struct StreamClock {
     pacing: Pacing,
     start: Instant,
@@ -183,6 +174,11 @@ impl StreamClock {
             start: Instant::now(),
             injected_us: AtomicU64::new(0),
         }
+    }
+
+    /// The wall-clock instant stream time zero maps to: the pacing origin.
+    pub(crate) fn start(&self) -> Instant {
+        self.start
     }
 
     pub(crate) fn note_injection(&self, at: Timestamp) {
@@ -288,14 +284,6 @@ pub(crate) struct EntryBatcher<M, R, S> {
     started_at: Option<Timestamp>,
     tx: Sender<MessageBatch<R, S>>,
     wrap: fn(Vec<M>) -> MessageBatch<R, S>,
-    /// Drained frame buffers flowing back from the direction's sink node
-    /// (rightmost for left-to-right frames, node 0 for the other way).
-    /// When wired, flushed frames are assembled in recycled buffers and
-    /// steady-state injection allocates no fresh `Vec`s.
-    recycle: Option<Receiver<Vec<M>>>,
-    /// Buffers this batcher had to allocate because the recycle ring was
-    /// empty (or absent).  The honesty counter behind the arena tests.
-    pub(crate) fresh_allocs: u64,
 }
 
 impl<M, R, S> EntryBatcher<M, R, S> {
@@ -309,27 +297,7 @@ impl<M, R, S> EntryBatcher<M, R, S> {
             started_at: None,
             tx,
             wrap,
-            recycle: None,
-            fresh_allocs: 0,
         }
-    }
-
-    /// Wires the buffer flow-back ring from this direction's sink worker.
-    pub(crate) fn set_recycle(&mut self, rx: Receiver<Vec<M>>) {
-        self.recycle = Some(rx);
-    }
-
-    /// The buffer the next frame is assembled in: recycled when the sink
-    /// has flowed one back, freshly allocated (and counted) otherwise.
-    fn next_buffer(&mut self) -> Vec<M> {
-        if let Some(rx) = &self.recycle {
-            if let Ok(mut buf) = rx.try_recv() {
-                buf.clear();
-                return buf;
-            }
-        }
-        self.fresh_allocs += 1;
-        Vec::new()
     }
 
     /// Queues a control message; it rides the next flush.
@@ -347,14 +315,15 @@ impl<M, R, S> EntryBatcher<M, R, S> {
     }
 
     /// Sends the pending frame (if any) and resets the assembly state.
+    /// Every flushed frame leaves in its own buffer, so the next one is
+    /// assembled in a fresh `Vec` (one buffer allocation per frame).
     pub(crate) fn flush(&mut self, in_flight: &InFlight, frames_injected: &mut u64) {
         if self.pending.is_empty() {
             return;
         }
-        let replacement = self.next_buffer();
         send_frame(
             &self.tx,
-            (self.wrap)(std::mem::replace(&mut self.pending, replacement)),
+            (self.wrap)(std::mem::take(&mut self.pending)),
             in_flight,
         );
         *frames_injected += 1;
@@ -409,10 +378,9 @@ impl<M, R, S> EntryBatcher<M, R, S> {
     }
 }
 
-/// The driver's entry-frame assembly state for both directions.  The fixed
-/// runtime shares it (behind a mutex) with the wall-clock flush-timer
-/// thread; the elastic driver owns it and plays the timer role itself
-/// inside its sliced pacing wait.
+/// The driver's entry-frame assembly state for both directions, owned by
+/// the chain's driver; the replay loop's pacing wait ages it out on wall
+/// time (`flush_older_than`).
 pub(crate) struct EntryState<R, S> {
     pub(crate) left: EntryBatcher<LeftToRight<R>, R, S>,
     pub(crate) right: EntryBatcher<RightToLeft<S>, R, S>,
@@ -459,8 +427,8 @@ impl<R, S> EntryState<R, S> {
 type Frame<R, S> = MessageBatch<R, S>;
 
 /// Control messages the pipeline sends to a worker through its mailbox.
-/// Commands only travel while the pipeline is fenced; a fixed pipeline
-/// never sends one.
+/// Commands only travel while the pipeline is fenced; a chain that never
+/// resizes, checkpoints or reshards never sends one.
 pub(crate) enum WorkerCommand<R, S> {
     /// Renumber the node and (optionally) replace channel endpoints.
     Rewire {
@@ -537,84 +505,23 @@ pub(crate) struct WorkerShared<R, S> {
     pub(crate) in_flight: Arc<InFlight>,
     pub(crate) results: Sender<TimedResult<R, S>>,
     /// This worker's busy-nanoseconds slot on the metrics bus; bumped
-    /// (relaxed) after every frame.  `None` skips the instrumentation
-    /// entirely (the fixed pipeline, whose bus nobody samples): no
-    /// `Instant::now` pair on the frame hot path.
-    pub(crate) busy_ns: Option<Arc<AtomicU64>>,
+    /// (relaxed) after every frame.
+    pub(crate) busy_ns: Arc<AtomicU64>,
 }
 
 /// What a worker reports when its thread exits.
 pub(crate) struct WorkerExit {
     pub(crate) counters: NodeCounters,
     pub(crate) idle_wakeups: u64,
-    /// Frame buffers this worker allocated because its arena pool was
-    /// empty.  Zero bar warm-up when the arena circulation is working.
+    /// Frame buffers this worker allocated because its pool was empty.
     pub(crate) batch_allocs: u64,
 }
 
-/// Per-worker placement and arena wiring, decided by the pipeline that
-/// spawns the worker.  Bundled so [`Worker::spawn`] keeps a readable
-/// signature as transports grow knobs.
-pub(crate) struct WorkerWiring<R, S> {
-    /// The wait set the worker parks on.  Created by the *caller* so ring
-    /// channels feeding this worker can bind it at construction (the
-    /// lock-free notify path cannot look a waiter up later).
-    pub(crate) waitset: WaitSet,
-    /// Core to pin the worker thread to, when a [`CoreMap`] is active.
-    pub(crate) pin_core: Option<usize>,
-    /// Where the worker flows drained left-to-right frame buffers once it
-    /// is the rightmost node (that direction's sink).  `None` keeps them
-    /// in the local pool.
-    pub(crate) recycle_ltr: Option<Sender<Vec<LeftToRight<R>>>>,
-    /// Same for right-to-left buffers once the worker is node 0.
-    pub(crate) recycle_rtl: Option<Sender<Vec<RightToLeft<S>>>>,
-    /// Surplus LTR buffers the rightmost node returns to node 0 once the
-    /// driver's flow-back ring is full.  Node 0 *originates* LTR frames
-    /// (an acknowledgement frame per right-to-left frame it handles)
-    /// without receiving a matching LTR buffer, so without this leg it
-    /// allocates once per handled frame while the driver's ring overflows
-    /// with the very buffers it needs.
-    pub(crate) xfer_ltr: Option<Sender<Vec<LeftToRight<R>>>>,
-    /// The receiving half at node 0: refills `take_ltr` after the pool.
-    pub(crate) refill_ltr: Option<Receiver<Vec<LeftToRight<R>>>>,
-    /// Mirror legs for RTL buffers: node 0 (the RTL sink) returns surplus
-    /// to the rightmost node, the RTL originator.
-    pub(crate) xfer_rtl: Option<Sender<Vec<RightToLeft<S>>>>,
-    /// The receiving half at the rightmost node.
-    pub(crate) refill_rtl: Option<Receiver<Vec<RightToLeft<S>>>>,
-}
-
-impl<R, S> WorkerWiring<R, S> {
-    pub(crate) fn new(waitset: WaitSet) -> Self {
-        WorkerWiring {
-            waitset,
-            pin_core: None,
-            recycle_ltr: None,
-            recycle_rtl: None,
-            xfer_ltr: None,
-            refill_ltr: None,
-            xfer_rtl: None,
-            refill_rtl: None,
-        }
-    }
-}
-
-/// The control plane's handle on one spawned worker.  `cmd_tx` is `None`
-/// for workers spawned without a mailbox (the fixed pipeline).
+/// The control plane's handle on one spawned worker.
 pub(crate) struct WorkerHandle<R, S> {
     pub(crate) handle: JoinHandle<WorkerExit>,
-    pub(crate) cmd_tx: Option<Sender<WorkerCommand<R, S>>>,
+    pub(crate) commands: Sender<WorkerCommand<R, S>>,
     pub(crate) waitset: WaitSet,
-}
-
-impl<R, S> WorkerHandle<R, S> {
-    /// The command mailbox; panics on a worker spawned without one (only
-    /// elastic pipelines send commands, and they always spawn with it).
-    pub(crate) fn commands(&self) -> &Sender<WorkerCommand<R, S>> {
-        self.cmd_tx
-            .as_ref()
-            .expect("worker was spawned without a command mailbox")
-    }
 }
 
 /// One worker thread: a pipeline node plus its channel endpoints.
@@ -626,9 +533,7 @@ pub(crate) struct Worker<R, S> {
     right_rx: Receiver<Frame<R, S>>,
     to_left: Option<Sender<Frame<R, S>>>,
     to_right: Option<Sender<Frame<R, S>>>,
-    /// Elastic command mailbox; `None` on a fixed pipeline, which also
-    /// skips the per-iteration mailbox poll (one channel lock per frame).
-    cmd_rx: Option<Receiver<WorkerCommand<R, S>>>,
+    cmd_rx: Receiver<WorkerCommand<R, S>>,
     waitset: WaitSet,
     shared: WorkerShared<R, S>,
     /// A handoff segment that arrived before this worker processed its
@@ -638,21 +543,12 @@ pub(crate) struct Worker<R, S> {
     idle_wakeups: u64,
     /// Core to pin to on the worker's own stack, first thing in `run`.
     pin_core: Option<usize>,
-    /// Arena pools of drained frame buffers, one per direction.  An inner
-    /// node is buffer-balanced (each incoming frame is replaced by at most
-    /// one outgoing frame the same direction), so a handful of buffers
+    /// Pools of drained frame buffers, one per direction.  An inner node
+    /// is buffer-balanced (each incoming frame is replaced by at most one
+    /// outgoing frame the same direction), so a handful of buffers
     /// circulates indefinitely.
     pool_ltr: Vec<Vec<LeftToRight<R>>>,
     pool_rtl: Vec<Vec<RightToLeft<S>>>,
-    /// Flow-back rings towards the driver's entry batchers (see
-    /// [`WorkerWiring`]).
-    recycle_ltr: Option<Sender<Vec<LeftToRight<R>>>>,
-    recycle_rtl: Option<Sender<Vec<RightToLeft<S>>>>,
-    /// Surplus legs between the two chain ends (see [`WorkerWiring`]).
-    xfer_ltr: Option<Sender<Vec<LeftToRight<R>>>>,
-    refill_ltr: Option<Receiver<Vec<LeftToRight<R>>>>,
-    xfer_rtl: Option<Sender<Vec<RightToLeft<S>>>>,
-    refill_rtl: Option<Receiver<Vec<RightToLeft<S>>>>,
     batch_allocs: u64,
 }
 
@@ -662,12 +558,10 @@ where
     S: Clone + Send + 'static,
 {
     /// Spawns a worker thread for position `id` of `nodes`, registering
-    /// the wiring's wait set with both inputs — and, when `with_mailbox`
-    /// is set (elastic pipelines), with a command mailbox.  A mailbox-less
-    /// worker never pays the per-iteration command poll.  The wait set
-    /// arrives pre-made inside `wiring` because ring inputs already bound
-    /// it at channel construction (`set_waiter` then only asserts the
-    /// binding matches).
+    /// `waitset` with both inputs and with a fresh command mailbox.  The
+    /// wait set arrives pre-made because ring inputs already bound it at
+    /// channel construction (`set_waiter` then only asserts the binding
+    /// matches).  `pin_core` pins the thread when a [`CoreMap`] is active.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn spawn(
         id: usize,
@@ -678,21 +572,15 @@ where
         to_left: Option<Sender<Frame<R, S>>>,
         to_right: Option<Sender<Frame<R, S>>>,
         shared: WorkerShared<R, S>,
-        with_mailbox: bool,
-        wiring: WorkerWiring<R, S>,
+        waitset: WaitSet,
+        pin_core: Option<usize>,
     ) -> WorkerHandle<R, S> {
-        let waitset = wiring.waitset;
         left_rx.set_waiter(&waitset);
         right_rx.set_waiter(&waitset);
-        let (cmd_tx, cmd_rx) = if with_mailbox {
-            // Command mailboxes are MPSC (control plane + neighbours) and
-            // stay on the mutex transport, which binds waiters late.
-            let (tx, rx) = unbounded();
-            rx.set_waiter(&waitset);
-            (Some(tx), Some(rx))
-        } else {
-            (None, None)
-        };
+        // Command mailboxes are MPSC (control plane + neighbours) and stay
+        // on the mutex transport, which binds waiters late.
+        let (cmd_tx, cmd_rx) = unbounded();
+        cmd_rx.set_waiter(&waitset);
         let worker = Worker {
             id,
             nodes,
@@ -706,20 +594,14 @@ where
             shared,
             pending_segment: None,
             idle_wakeups: 0,
-            pin_core: wiring.pin_core,
+            pin_core,
             pool_ltr: Vec::new(),
             pool_rtl: Vec::new(),
-            recycle_ltr: wiring.recycle_ltr,
-            recycle_rtl: wiring.recycle_rtl,
-            xfer_ltr: wiring.xfer_ltr,
-            refill_ltr: wiring.refill_ltr,
-            xfer_rtl: wiring.xfer_rtl,
-            refill_rtl: wiring.refill_rtl,
             batch_allocs: 0,
         };
         WorkerHandle {
             handle: thread::spawn(move || worker.run()),
-            cmd_tx,
+            commands: cmd_tx,
             waitset,
         }
     }
@@ -737,13 +619,11 @@ where
             // landing between the polls and the park bumps the epoch first,
             // so the wait returns immediately — no lost wake-ups.
             let seen = self.waitset.epoch();
-            if let Some(cmd_rx) = &self.cmd_rx {
-                if let Ok(cmd) = cmd_rx.try_recv() {
-                    if self.execute(cmd) {
-                        break;
-                    }
-                    continue;
+            if let Ok(cmd) = self.cmd_rx.try_recv() {
+                if self.execute(cmd) {
+                    break;
                 }
+                continue;
             }
             let frame = if poll_left_first {
                 self.left_rx
@@ -761,7 +641,7 @@ where
                     if self.shared.stop.load(Ordering::SeqCst)
                         && self.left_rx.is_empty()
                         && self.right_rx.is_empty()
-                        && self.cmd_rx.as_ref().is_none_or(|rx| rx.is_empty())
+                        && self.cmd_rx.is_empty()
                     {
                         break;
                     }
@@ -782,111 +662,32 @@ where
         }
     }
 
-    /// Returns a drained left-to-right frame buffer to circulation: flowed
-    /// back to the driver when this worker is that direction's sink (the
-    /// rightmost node), pooled locally otherwise.  The flow-back ring is
-    /// best-effort (`try_send`): a full ring just drops the buffer.
+    /// Returns a drained frame buffer to this worker's pool; a full pool
+    /// drops it.
     fn stash_ltr(&mut self, buf: Vec<LeftToRight<R>>) {
-        let mut buf = buf;
-        // Sink priority: the driver's flow-back ring drains exactly one
-        // buffer per entry flush; everything beyond that is surplus.
-        if self.id + 1 == self.nodes {
-            if let Some(tx) = &self.recycle_ltr {
-                match tx.try_send(buf) {
-                    Ok(()) => return,
-                    Err(back) => buf = back,
-                }
-            }
-        }
         if self.pool_ltr.len() < ARENA_POOL {
             self.pool_ltr.push(buf);
-            return;
-        }
-        // Pool full: this node holds more LTR buffers than it will ever
-        // spend — pass the surplus one hop towards node 0, the direction's
-        // originator (acknowledgement frames start there without a
-        // matching incoming buffer).  Best-effort: a full leg just costs
-        // the originator one allocation.
-        if let Some(tx) = &self.xfer_ltr {
-            let _ = tx.try_send(buf);
         }
     }
 
-    /// Same for right-to-left buffers; node 0 is that direction's sink,
-    /// the rightmost node its originator (expedition-end markers), and
-    /// surplus flows rightward hop by hop.
     fn stash_rtl(&mut self, buf: Vec<RightToLeft<S>>) {
-        let mut buf = buf;
-        if self.id == 0 {
-            if let Some(tx) = &self.recycle_rtl {
-                match tx.try_send(buf) {
-                    Ok(()) => return,
-                    Err(back) => buf = back,
-                }
-            }
-        }
         if self.pool_rtl.len() < ARENA_POOL {
             self.pool_rtl.push(buf);
-            return;
-        }
-        if let Some(tx) = &self.xfer_rtl {
-            let _ = tx.try_send(buf);
-        }
-    }
-
-    /// Opportunistic surplus relay, once per handled frame: moves at most
-    /// one buffer per direction from the incoming surplus leg into the
-    /// local pool, or — pool full — onward to the next hop.  Without this
-    /// pump a middle node (whose own pool stays full because its flow is
-    /// balanced) would stall the daisy chain: buffers terminating at a
-    /// middle home would never reach the end node that keeps allocating.
-    fn relay_surplus(&mut self) {
-        if let Some(rx) = &self.refill_ltr {
-            if let Ok(buf) = rx.try_recv() {
-                if self.pool_ltr.len() < ARENA_POOL {
-                    self.pool_ltr.push(buf);
-                } else if let Some(tx) = &self.xfer_ltr {
-                    let _ = tx.try_send(buf);
-                }
-            }
-        }
-        if let Some(rx) = &self.refill_rtl {
-            if let Ok(buf) = rx.try_recv() {
-                if self.pool_rtl.len() < ARENA_POOL {
-                    self.pool_rtl.push(buf);
-                } else if let Some(tx) = &self.xfer_rtl {
-                    let _ = tx.try_send(buf);
-                }
-            }
         }
     }
 
     fn take_ltr(&mut self) -> Vec<LeftToRight<R>> {
-        if let Some(buf) = self.pool_ltr.pop() {
-            return buf;
-        }
-        if let Some(rx) = &self.refill_ltr {
-            if let Ok(mut buf) = rx.try_recv() {
-                buf.clear();
-                return buf;
-            }
-        }
-        self.batch_allocs += 1;
-        Vec::new()
+        self.pool_ltr.pop().unwrap_or_else(|| {
+            self.batch_allocs += 1;
+            Vec::new()
+        })
     }
 
     fn take_rtl(&mut self) -> Vec<RightToLeft<S>> {
-        if let Some(buf) = self.pool_rtl.pop() {
-            return buf;
-        }
-        if let Some(rx) = &self.refill_rtl {
-            if let Ok(mut buf) = rx.try_recv() {
-                buf.clear();
-                return buf;
-            }
-        }
-        self.batch_allocs += 1;
-        Vec::new()
+        self.pool_rtl.pop().unwrap_or_else(|| {
+            self.batch_allocs += 1;
+            Vec::new()
+        })
     }
 
     /// Processes one data frame: batch dispatch into the node, high-water
@@ -912,7 +713,7 @@ where
             self.pending_segment = Some(handoff);
             return;
         }
-        let busy_start = self.shared.busy_ns.is_some().then(Instant::now);
+        let busy_start = Instant::now();
         let is_leftmost = self.id == 0;
         let is_rightmost = self.id + 1 == self.nodes;
         self.node.observe_time(self.shared.clock.now());
@@ -1011,10 +812,9 @@ where
             Some((false, ts)) => self.shared.hwm.observe_s(ts),
             None => {}
         }
-        if let (Some(slot), Some(started)) = (&self.shared.busy_ns, busy_start) {
-            slot.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        self.relay_surplus();
+        self.shared
+            .busy_ns
+            .fetch_add(busy_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.shared.in_flight.finish();
     }
 
@@ -1264,20 +1064,19 @@ pub(crate) struct CollectorConfig {
     pub(crate) pin_core: Option<usize>,
 }
 
-/// Spawns the collector thread over the given per-worker result queues.
+/// Spawns the collector thread over the chain's result channel.
 ///
 /// Step 1 of the paper's Section 6.1.3 is preserved: the high-water marks
-/// are read *before* the queues are vacuumed, so every punctuation `p`
+/// are read *before* the channel is vacuumed, so every punctuation `p`
 /// emitted after a batch of results is a valid promise (no later result
-/// can carry a smaller timestamp).  With a metrics bus attached (elastic
-/// pipelines), every collected latency is also fed into the bus's EWMA
-/// for the auto-scaler; `None` skips the per-result CAS.
+/// can carry a smaller timestamp).  Every collected latency is also fed
+/// into the metrics bus's EWMA for the auto-scaler.
 pub(crate) fn spawn_collector<R, S>(
-    receivers: Vec<Receiver<TimedResult<R, S>>>,
+    results: Receiver<TimedResult<R, S>>,
     stop: Arc<AtomicBool>,
     stop_signal: WaitSet,
     hwm: Arc<HighWaterMarks>,
-    metrics: Option<Arc<MetricsBus>>,
+    metrics: Arc<MetricsBus>,
     config: CollectorConfig,
 ) -> JoinHandle<CollectorOutcome<R, S>>
 where
@@ -1302,20 +1101,16 @@ where
             // vacuuming the queues.
             let safe = hwm.safe_punctuation();
             let mut drained_any = false;
-            for rx in &receivers {
-                while let Ok(timed) = rx.try_recv() {
-                    drained_any = true;
-                    let latency = timed.latency();
-                    outcome.latency.record(latency);
-                    outcome.series.record(timed.detected_at, latency);
-                    if let Some(bus) = &metrics {
-                        bus.observe_latency(latency);
-                    }
-                    if config.punctuate {
-                        outcome.output.push(OutputItem::Result(timed.clone()));
-                    }
-                    outcome.results.push(timed);
+            while let Ok(timed) = results.try_recv() {
+                drained_any = true;
+                let latency = timed.latency();
+                outcome.latency.record(latency);
+                outcome.series.record(timed.detected_at, latency);
+                metrics.observe_latency(latency);
+                if config.punctuate {
+                    outcome.output.push(OutputItem::Result(timed.clone()));
                 }
+                outcome.results.push(timed);
             }
             if config.punctuate && drained_any {
                 outcome

@@ -16,15 +16,16 @@
 //! Scheduling is *event-driven*: an idle worker parks on a per-worker
 //! [`channel::WaitSet`] registered with both of its input channels and is
 //! woken by the next frame on either input (or by shutdown) — there is no
-//! polling loop anywhere in the pipeline.  On paced runs with a
-//! `flush_interval`, a wall-clock timer thread additionally flushes
-//! partial entry frames on real time, so a stream that goes silent cannot
-//! hold results back; see [`pipeline`] for the full picture.
+//! polling loop anywhere in the pipeline.  Every deployment — fixed chain,
+//! elastic chain, shard mesh — is driven by one replay loop on one stream
+//! clock; on paced runs with a `flush_interval` its pacing wait also
+//! flushes aged partial entry frames on wall time, so a stream that goes
+//! silent cannot hold results back.
 //!
 //! Tuning: `batch_size` buys throughput (one channel operation per frame),
 //! `flush_interval` caps the latency that batching can add — set it near
-//! your latency budget and the batch size purely for throughput; with the
-//! timer thread the cap holds even across arrival gaps.
+//! your latency budget and the batch size purely for throughput; the cap
+//! holds even across arrival gaps.
 //!
 //! ```no_run
 //! use llhj_core::prelude::*;
@@ -58,14 +59,15 @@ pub mod mesh;
 pub mod metrics;
 pub mod options;
 pub mod pipeline;
+mod replay;
 pub mod ring;
 
 pub use autoscale::{run_autoscaled_pipeline, AutoscaleOptions};
 pub use channel::CancelToken;
 pub use elastic::{
     hsj_age_factory, llhj_factory, llhj_indexed_factory, recover_elastic_pipeline,
-    run_elastic_pipeline, CheckpointConfig, ElasticOutcome, ElasticPipeline, NodeFactory,
-    ResizeEvent, ScalePipeline, ScalePlan, ScaleStep,
+    run_elastic_pipeline, CheckpointConfig, ElasticPipeline, NodeFactory, ResizeEvent,
+    ScalePipeline, ScalePlan, ScaleStep,
 };
 pub use mesh::{recover_mesh_pipeline, run_mesh_pipeline, MeshOutcome, MeshPipeline, ReshardEvent};
 pub use metrics::MetricsBus;

@@ -37,24 +37,27 @@
 //! resumes.  A merge is the inverse: the child chain is first scaled to
 //! the parent's width, then exports node by node into the parent.
 
-use crate::channel::CancelToken;
 use crate::elastic::{
-    CheckpointConfig, ElasticOutcome, ElasticPipeline, NodeFactory, ScalePipeline,
+    build_nodes, checkpoint_chains, CheckpointConfig, ElasticPipeline, NodeFactory, ScalePipeline,
 };
+use crate::exec::StreamClock;
 use crate::options::PipelineOptions;
+use crate::pipeline::RunOutcome;
+use crate::replay::{replay, Checkpointing, Deployment, Steering};
 use llhj_core::checkpoint::{
-    load_latest_mesh, ChainCheckpointer, CheckpointError, CheckpointPayload, CheckpointStore,
-    ReplayLog,
+    load_latest_mesh, CheckpointError, CheckpointPayload, CheckpointStore, ReplayLog,
 };
 use llhj_core::driver::{DriverEvent, DriverSchedule};
 use llhj_core::homing::HomePolicy;
+use llhj_core::node::PipelineNode;
 use llhj_core::predicate::JoinPredicate;
 use llhj_core::punctuation::OutputItem;
 use llhj_core::result::TimedResult;
-use llhj_core::shard::{merge_punctuated_streams, MeshPlan, RouteMode, ShardRouter};
-use llhj_core::time::Timestamp;
+use llhj_core::shard::{merge_punctuated_streams, MeshPlan, MeshStep, RouteMode, ShardRouter};
+use llhj_core::time::{TimeDelta, Timestamp};
 use llhj_core::tuple::SeqNo;
-use llhj_sync::time::{Duration, Instant};
+use llhj_sync::sync::Arc;
+use llhj_sync::time::Duration;
 
 /// One completed mesh reshaping, for the outcome's reshard log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,11 +117,14 @@ where
     predicate: P,
     policy: H,
     options: PipelineOptions,
+    /// The mesh's one clock, shared by every chain — those a split
+    /// creates included — so every result is stamped on the time axis
+    /// the driver paces on.
+    clock: Arc<StreamClock>,
     /// Outcomes of chains retired by shard merges; their output streams
     /// join the final frontier merge.
-    retired: Vec<ElasticOutcome<R, S>>,
+    retired: Vec<RunOutcome<R, S>>,
     reshard_log: Vec<ReshardEvent>,
-    started: Instant,
     migration_stall: Option<Duration>,
     cancelled: bool,
 }
@@ -148,34 +154,27 @@ where
             "co-partitioning requires a predicate with both equi-key extractors"
         );
         let router = ShardRouter::new(predicate.clone(), mode, shards);
-        let chains = (0..shards)
-            .map(|p| {
-                // Stagger each chain's core slots so two shards' workers do
-                // not stack on the same cores (a no-op unless `pin_cores`).
-                let mut chain_options = options.clone();
-                chain_options.pin_core_offset = options.pin_core_offset + p * (width + 1);
-                ElasticPipeline::new(
-                    width,
-                    factory.clone(),
-                    predicate.clone(),
-                    policy.clone(),
-                    chain_options,
-                )
-            })
-            .collect();
-        MeshPipeline {
+        // Every chain's nodes are built before the clock starts, so node
+        // construction never lands inside a latency.
+        let nodes: Vec<_> = (0..shards).map(|_| build_nodes(&factory, width)).collect();
+        let mut mesh = MeshPipeline {
             router,
-            chains,
+            chains: Vec::with_capacity(shards),
             factory,
             predicate,
             policy,
+            clock: Arc::new(StreamClock::new(options.pacing)),
             options,
             retired: Vec::new(),
             reshard_log: Vec::new(),
-            started: Instant::now(),
             migration_stall: None,
             cancelled: false,
+        };
+        for nodes in nodes {
+            let chain = mesh.deploy_chain(nodes);
+            mesh.chains.push(chain);
         }
+        mesh
     }
 
     /// Current shard count.
@@ -188,21 +187,25 @@ where
         &self.reshard_log
     }
 
-    /// Real-time pacing before injecting an event scheduled at `at`; a
-    /// plain cancellable wait (the mesh driver has no flush-slicing or
-    /// controller).  Returns `true` if the wait was cancelled.
-    fn pace(&self, at: Timestamp, cancel: &CancelToken) -> bool {
-        let target = self
-            .options
-            .stream_to_wall(at.saturating_since(Timestamp::ZERO));
-        if target.is_zero() {
-            return cancel.is_cancelled();
+    /// Deploys the chain that becomes shard `self.shards()` on the mesh's
+    /// clock.
+    fn deploy_chain(&self, nodes: Vec<Box<dyn PipelineNode<R, S>>>) -> ElasticPipeline<R, S, P, H> {
+        // Stagger each chain's core slots so two shards' workers do not
+        // stack on the same cores (a no-op unless `pin_cores`).
+        let mut options = self.options.clone();
+        options.pin_core_offset += self.chains.len() * (nodes.len() + 1);
+        let mut chain = ElasticPipeline::deploy(
+            nodes,
+            Some(self.factory.clone()),
+            self.predicate.clone(),
+            self.policy.clone(),
+            options,
+            Some(Arc::clone(&self.clock)),
+        );
+        if let Some(stall) = self.migration_stall {
+            chain.set_migration_stall(stall);
         }
-        let deadline = self.started + target;
-        if Instant::now() < deadline {
-            return cancel.wait_until(deadline);
-        }
-        cancel.is_cancelled()
+        chain
     }
 
     /// Makes every window migration (chain resize or shard reshape) stall
@@ -221,32 +224,16 @@ where
     fn split_once(&mut self) -> usize {
         let n = self.chains.len();
         for chain in &mut self.chains {
-            chain.fence_for_reshard();
+            chain.fence();
         }
         self.router.split();
         let mut moved = 0;
         for p in 0..n {
-            let width = self.chains[p].nodes();
             // The child starts at the SAME width as its parent: node `k`'s
             // moving rows re-enter at position `k`, preserving positional
             // invariants; the per-chain rebalance below levels both chains
             // afterwards.
-            let mut child = ElasticPipeline::new(
-                width,
-                self.factory.clone(),
-                self.predicate.clone(),
-                self.policy.clone(),
-                {
-                    // New shards keep staggering past the existing chains.
-                    let mut child_options = self.options.clone();
-                    child_options.pin_core_offset =
-                        self.options.pin_core_offset + self.chains.len() * (width + 1);
-                    child_options
-                },
-            );
-            if let Some(stall) = self.migration_stall {
-                child.set_migration_stall(stall);
-            }
+            let mut child = self.deploy_chain(build_nodes(&self.factory, self.chains[p].nodes()));
             let segments = self.chains[p].export_all_segments();
             for (k, segment) in segments.into_iter().enumerate() {
                 let (keep, moving) = self.router.split_segment(p, segment);
@@ -254,8 +241,8 @@ where
                 self.chains[p].install_segment(k, keep);
                 child.install_segment(k, moving);
             }
-            self.chains[p].rebalance_fenced();
-            child.rebalance_fenced();
+            self.chains[p].rebalance();
+            child.rebalance();
             // Shard ids: child of parent `p` is `p + n` — pushing parents'
             // children in order lands each at exactly that index.
             self.chains.push(child);
@@ -274,7 +261,7 @@ where
             self.chains[n + p].scale_to(width);
         }
         for chain in &mut self.chains {
-            chain.fence_for_reshard();
+            chain.fence();
         }
         self.router.merge();
         let mut moved = 0;
@@ -290,7 +277,7 @@ where
                 moved += segment.len();
                 self.chains[p].install_segment(k, segment);
             }
-            self.chains[p].rebalance_fenced();
+            self.chains[p].rebalance();
             self.retired.push(child.finish());
         }
         moved
@@ -333,29 +320,14 @@ where
     /// reshapings at their event indexes.  Call once; then
     /// [`MeshPipeline::finish`].
     pub fn run_schedule(&mut self, schedule: &DriverSchedule<R, S>, plan: &MeshPlan) {
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        let mut steps = plan.steps.iter().peekable();
-        for (idx, event) in schedule.events().iter().enumerate() {
-            while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
-                self.reshape(step.shards, step.width, idx);
-            }
-            if cancel.is_cancelled() || self.pace(event.at, &cancel) {
-                self.cancelled = true;
-                break;
-            }
-            let route = self.router.route(&event.event);
-            for shard in route.targets(self.chains.len()) {
-                self.chains[shard].inject_routed(event);
-            }
-        }
-        if !self.cancelled {
-            // Trailing steps (at or past the schedule end) still run,
-            // exactly like a chain-level ScalePlan's.
-            let trailing: Vec<_> = steps.copied().collect();
-            for step in trailing {
-                self.reshape(step.shards, step.width, schedule.events().len());
-            }
-        }
+        let cancelled = replay(
+            self,
+            schedule.events(),
+            (usize::MAX, usize::MAX),
+            Steering::Plan(&plan.steps),
+            None,
+        );
+        self.cancelled |= cancelled;
     }
 
     /// Drains every chain and returns the merged outcome.
@@ -384,6 +356,65 @@ where
     }
 }
 
+/// The mesh is driven by the same replay loop as a single chain: the
+/// router picks the chains that see each event, and the per-chain
+/// schedule totals are unknown (partial frames are flushed by
+/// `batch_size`, `flush_interval`, the fences and the final flush).
+impl<R, S, P, H> Deployment<R, S> for MeshPipeline<R, S, P, H>
+where
+    R: Clone + Send + Sync + 'static,
+    S: Clone + Send + Sync + 'static,
+    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
+    H: HomePolicy + Clone,
+{
+    type Step = MeshStep;
+
+    fn due_at(step: &MeshStep) -> usize {
+        step.after_events
+    }
+
+    fn options(&self) -> &PipelineOptions {
+        &self.options
+    }
+
+    fn clock(&self) -> &StreamClock {
+        &self.clock
+    }
+
+    fn inject(&mut self, event: &DriverEvent<R, S>, totals: (usize, usize)) {
+        let route = self.router.route(&event.event);
+        for shard in route.targets(self.chains.len()) {
+            self.chains[shard].inject(event, totals);
+        }
+    }
+
+    fn flush_aged(&mut self, now: Timestamp, interval: TimeDelta) {
+        for chain in &mut self.chains {
+            chain.flush_aged(now, interval);
+        }
+    }
+
+    fn flush_all(&mut self) {
+        for chain in &mut self.chains {
+            chain.flush_all();
+        }
+    }
+
+    fn step(&mut self, step: &MeshStep, at_event: usize) {
+        self.reshape(step.shards, step.width, at_event);
+    }
+
+    // No entry point steers a mesh with the auto-scaler: its second axis
+    // is the shard count, driven by a `MeshPlan`.
+    fn width(&self) -> usize {
+        unreachable!("meshes are not autoscaled")
+    }
+
+    fn resize(&mut self, _width: usize, _at_event: usize) {
+        unreachable!("meshes are not autoscaled")
+    }
+}
+
 impl<R, S, P, H> MeshPipeline<R, S, P, H>
 where
     R: Clone + Send + Sync + CheckpointPayload + 'static,
@@ -391,25 +422,6 @@ where
     P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
     H: HomePolicy + Clone,
 {
-    /// Realigns the per-shard checkpointers after a reshape: every live
-    /// shard must write the *same* global checkpoint sequence number, or
-    /// [`load_latest_mesh`] would refuse the set as torn.  Split-created
-    /// shards join the sequence via [`ChainCheckpointer::starting_at`];
-    /// merged-away shards simply stop writing (their stale higher-index
-    /// blobs are ignored because the anchor's `shards` field shrinks).
-    fn sync_checkpointers(
-        &self,
-        checkpointers: &mut Vec<ChainCheckpointer<R, S>>,
-        full_interval: u64,
-    ) {
-        let seq = checkpointers.first().map_or(0, |c| c.next_seq());
-        while checkpointers.len() < self.chains.len() {
-            let shard = checkpointers.len();
-            checkpointers.push(ChainCheckpointer::starting_at(shard, full_interval, seq));
-        }
-        checkpointers.truncate(self.chains.len());
-    }
-
     /// [`MeshPipeline::run_schedule`] with durability: every consumed
     /// `cfg.every_events`-th event the driver takes one *coordinated*
     /// checkpoint — each chain fences and captures under the same global
@@ -424,73 +436,32 @@ where
         plan: &MeshPlan,
         cfg: &CheckpointConfig,
     ) -> (bool, ReplayLog<R, S>) {
-        let mut checkpointers: Vec<ChainCheckpointer<R, S>> = (0..self.chains.len())
-            .map(|shard| ChainCheckpointer::new(shard, cfg.full_interval))
-            .collect();
-        let mut log: ReplayLog<R, S> = ReplayLog::new(cfg.replay_capacity);
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        let mut steps = plan.steps.iter().peekable();
-        for (idx, event) in schedule.events().iter().enumerate() {
-            while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
-                self.reshape(step.shards, step.width, idx);
-                self.sync_checkpointers(&mut checkpointers, cfg.full_interval);
-            }
-            if cancel.is_cancelled() || self.pace(event.at, &cancel) {
-                self.cancelled = true;
-                break;
-            }
-            log.record(event.clone());
-            let route = self.router.route(&event.event);
-            for shard in route.targets(self.chains.len()) {
-                self.chains[shard].inject_routed(event);
-            }
-            let consumed = idx + 1;
-            if consumed.is_multiple_of(cfg.every_events) {
-                // The driver is single-threaded, so no event lands between
-                // the per-chain captures: each chain fences inside
-                // `capture_checkpoint` and every shard observes the same
-                // consumed-event prefix — a coordinated cut by
-                // construction.
-                let epoch = self.reshard_log.len() as u64;
-                let shards = self.chains.len() as u32;
-                let mut all_landed = true;
-                for (shard, chain) in self.chains.iter_mut().enumerate() {
-                    let ckpt = chain.capture_checkpoint(epoch, shards, consumed as u64);
-                    if checkpointers[shard]
-                        .append(cfg.store.as_ref(), ckpt)
-                        .is_err()
-                    {
-                        all_landed = false;
-                    }
-                }
-                if all_landed {
-                    log.trim_to(consumed);
-                }
-            }
-        }
-        if !self.cancelled {
-            let trailing: Vec<_> = steps.copied().collect();
-            for step in trailing {
-                self.reshape(step.shards, step.width, schedule.events().len());
-            }
-        }
+        let mut log = ReplayLog::new(cfg.replay_capacity);
+        let mut checkpointers = Vec::new();
+        let mut capture = |mesh: &mut Self, consumed| {
+            let epoch = mesh.reshard_log.len() as u64;
+            checkpoint_chains(
+                &mut mesh.chains,
+                &mut checkpointers,
+                cfg,
+                0,
+                epoch,
+                consumed,
+            )
+        };
+        let cancelled = replay(
+            self,
+            schedule.events(),
+            (usize::MAX, usize::MAX),
+            Steering::Plan(&plan.steps),
+            Some(Checkpointing {
+                every_events: cfg.every_events,
+                log: &mut log,
+                capture: &mut capture,
+            }),
+        );
+        self.cancelled |= cancelled;
         (self.cancelled, log)
-    }
-
-    /// Replays raw driver events through the router (the recovery suffix)
-    /// until exhausted or cancelled.
-    pub(crate) fn replay_events(&mut self, events: &[DriverEvent<R, S>]) {
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        for event in events {
-            if cancel.is_cancelled() || self.pace(event.at, &cancel) {
-                self.cancelled = true;
-                break;
-            }
-            let route = self.router.route(&event.event);
-            for shard in route.targets(self.chains.len()) {
-                self.chains[shard].inject_routed(event);
-            }
-        }
     }
 }
 
@@ -565,7 +536,13 @@ where
             mesh.chains[shard].restore_checkpoint(ckpt);
         }
     }
-    mesh.replay_events(&suffix);
+    mesh.cancelled = replay(
+        &mut mesh,
+        &suffix,
+        (usize::MAX, usize::MAX),
+        Steering::Plan(&[]),
+        None,
+    );
     Ok(mesh.finish())
 }
 
@@ -721,6 +698,72 @@ mod tests {
         assert!(
             outcome.reshard_log[0].moved_tuples > 0,
             "a loaded split must move window state into the child shards"
+        );
+        // One clock per mesh: chains created by the split stamp their
+        // results on the clock the driver paces from, so no detection
+        // reads earlier than the arrival that produced it.
+        let early: Vec<_> = outcome
+            .results
+            .iter()
+            .filter(|t| t.detected_at < t.result.ts())
+            .map(|t| (t.result.key(), t.result.ts(), t.detected_at))
+            .collect();
+        assert!(
+            early.is_empty(),
+            "{} of {} results detected before their own arrival, e.g. {:?}",
+            early.len(),
+            outcome.results.len(),
+            &early[..early.len().min(3)]
+        );
+    }
+
+    /// The mesh mirror of the chain's silent-gap guarantee: the pacing
+    /// wait flushes aged partial frames on every chain, so a pair that
+    /// arrives just before a long silence is not held for the silence.
+    #[test]
+    fn silent_gap_cannot_hold_a_partial_mesh_frame() {
+        let mk = |v: u32| {
+            vec![
+                (Timestamp::from_millis(1), v),
+                (Timestamp::from_millis(700), v + 1_000),
+                (Timestamp::from_millis(710), v + 2_000),
+            ]
+        };
+        let sched = DriverSchedule::build(
+            mk(7),
+            mk(7),
+            WindowSpec::Time(TimeDelta::from_secs(2)),
+            WindowSpec::Time(TimeDelta::from_secs(2)),
+        );
+        let opts = PipelineOptions {
+            // Far larger than the pre-gap tuple count: without the aged
+            // flush the first frame would sit out the whole 700 ms gap.
+            batch_size: 64,
+            flush_interval: Some(TimeDelta::from_millis(10)),
+            pacing: Pacing::RealTime { speedup: 1.0 },
+            ..Default::default()
+        };
+        let outcome = run_mesh_pipeline(
+            1,
+            2,
+            llhj_indexed_factory(equi()),
+            equi(),
+            RoundRobin,
+            RouteMode::CoPartition,
+            &sched,
+            &MeshPlan::none(),
+            &opts,
+        );
+        let first = outcome
+            .results
+            .iter()
+            .find(|t| t.result.key() == (SeqNo(0), SeqNo(0)))
+            .expect("the pre-gap pair must be found");
+        let latency = first.latency();
+        assert!(
+            latency < TimeDelta::from_millis(200),
+            "pre-gap result waited {latency} — the pacing wait should have \
+             flushed it near the 10 ms interval"
         );
     }
 

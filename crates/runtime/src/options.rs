@@ -23,11 +23,11 @@ pub enum Pacing {
 }
 
 /// Which transport carries frames over the chain's SPSC data edges
-/// (driver→node₀, nodeᵢ→nodeᵢ₊₁, node→collector).
+/// (driver→node₀, nodeᵢ→nodeᵢ₊₁ and back).
 ///
-/// The genuinely multi-producer edges — the elastic result channel and
-/// the worker command mailboxes — always use the mutex transport
-/// regardless of this setting.
+/// The genuinely multi-producer edges — the result channel every worker
+/// sends into and the worker command mailboxes — always use the mutex
+/// transport regardless of this setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transport {
     /// Lock-free SPSC ring buffers ([`crate::ring`]): the default, and
@@ -74,7 +74,7 @@ pub struct PipelineOptions {
     pub channel_capacity: usize,
     /// Whether the collector emits punctuations into the output stream.
     pub punctuate: bool,
-    /// How often the collector vacuums the per-worker result queues.
+    /// How often the collector vacuums the chain's result channel.
     pub collect_interval: Duration,
     /// Bucket size for the latency time series.
     pub latency_bucket: u64,
@@ -94,7 +94,7 @@ pub struct PipelineOptions {
     /// the driver's backpressure point.  Irrelevant under
     /// [`Transport::Mutex`].
     pub ring_capacity: usize,
-    /// Pin worker, driver and collector threads to distinct cores
+    /// Pin worker and collector threads to distinct cores
     /// (`sched_setaffinity`).  Off by default; silently a no-op when the
     /// host has fewer cores than the pipeline has threads, on non-Linux
     /// targets, and under the model-checker backend.
@@ -128,7 +128,7 @@ impl Default for PipelineOptions {
 impl PipelineOptions {
     /// Checks the options for values the runtime cannot execute sensibly.
     ///
-    /// Called by [`crate::run_pipeline`] before any thread is spawned.  A
+    /// Called by every chain deployment before it spawns a thread.  A
     /// non-finite `speedup` is rejected here because it would otherwise
     /// disappear into a float→integer cast inside the stream clock (NaN
     /// and −∞ silently freeze the clock at 0, +∞ pins it at the maximum) —

@@ -1,7 +1,7 @@
 //! Lock-free ring transport: the fast path under the frame channel.
 //!
-//! A chain pipeline's data edges are single-producer/single-consumer by
-//! construction — driver→node₀, nodeᵢ→nodeᵢ₊₁, node→collector — so the
+//! A chain pipeline's frame edges are single-producer/single-consumer by
+//! construction — driver→node₀, nodeᵢ→nodeᵢ₊₁ and back — so the
 //! generic `Mutex<VecDeque>` channel pays for a generality those edges
 //! never use: every frame handoff takes a lock, bounces the lock's cache
 //! line between the two cores, and wakes a condvar.  `Ring` replaces
@@ -307,21 +307,6 @@ impl<T> Ring<T> {
         }
         self.wake.notify();
         Ok(())
-    }
-
-    /// Best-effort non-blocking send: never parks, never spills.  Used by
-    /// the arena flow-back edges, where dropping a recycled buffer on a
-    /// full ring is cheaper than any waiting.
-    pub(crate) fn try_send(&self, item: T) -> Result<(), T> {
-        // ordering: Acquire — see `send`.
-        if !self.receiver_alive.load(Ordering::Acquire) {
-            return Err(item);
-        }
-        let res = self.try_push(item);
-        if res.is_ok() {
-            self.wake.notify();
-        }
-        res
     }
 
     /// Pops the next frame in FIFO order: ring first, spillway second.

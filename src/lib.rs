@@ -69,9 +69,9 @@ pub mod prelude {
         hsj_age_factory, hsj_nodes, llhj_factory, llhj_indexed_factory, llhj_indexed_nodes,
         llhj_nodes, recover_elastic_pipeline, recover_mesh_pipeline, run_autoscaled_pipeline,
         run_elastic_pipeline, run_mesh_pipeline, run_pipeline, AutoscaleOptions, CancelToken,
-        CheckpointConfig, ElasticOutcome, ElasticPipeline, MeshOutcome, MeshPipeline, MetricsBus,
-        NodeFactory, Pacing, PipelineOptions, ReshardEvent, ResizeEvent, RunOutcome, ScalePipeline,
-        ScalePlan, ScaleStep, Transport,
+        CheckpointConfig, ElasticPipeline, MeshOutcome, MeshPipeline, MetricsBus, NodeFactory,
+        Pacing, PipelineOptions, ReshardEvent, ResizeEvent, RunOutcome, ScalePipeline, ScalePlan,
+        ScaleStep, Transport,
     };
     pub use llhj_sim::{
         max_sustainable_mesh_rate, recover_mesh_simulation, recover_simulation,
